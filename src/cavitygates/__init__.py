@@ -11,6 +11,7 @@ from .errors import (
     InvalidBranch,
     InvalidQuantumNumbers,
     InvalidQubits,
+    NonFiniteValue,
     NotEquivalent,
     NotFactorable,
     NotHermitian,

@@ -47,3 +47,7 @@ class InvalidBranch(CavityGatesError):
 
 class InvalidQubits(CavityGatesError):
     """Control/target qubit selection is invalid."""
+
+
+class NonFiniteValue(CavityGatesError):
+    """A phase, angle or rate is NaN or infinite."""

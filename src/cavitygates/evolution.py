@@ -17,19 +17,28 @@ R_z(-(2 nbar + 1) phi) (Casimir) per qubit, where phi = eta t.
 
 All evolution APIs take the dimensionless phase phi = eta t; physical
 seconds enter only through `coupling_eta` for reporting.
+
+The interaction is fixed; only its duration varies.  So `evolve`
+diagonalizes the linear-free Hamiltonian once per (atom count, form),
+keeps its read-only spectrum (eigenvalues, eigenvectors, diagonal of
+S_z), and renders every pulse as V e^{-i phi Lambda} V^dagger.  S_z is
+diagonal in the computational basis, so the thermal term and the
+compensation rotations are diagonal phases that scale the rows of that
+matrix; no second diagonalization is needed.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import sqrt
+from functools import lru_cache
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import DegenerateParams
+from .errors import DegenerateParams, NonFiniteValue
 from .gates import rotation
-from .linalg import expm_hermitian, kron
+from .linalg import expm_spectral, hermitian_spectrum, kron, read_only
 from .spin import _check_atoms, collective_op, s_squared
 
 
@@ -89,6 +98,16 @@ def validity_ratio(params: CavityParams) -> float:
     return params.g * sqrt(params.n_atoms) / denom
 
 
+def _linear_coefficient(form: HamiltonianForm, nbar: float) -> float:
+    """Coefficient c of the form-specific linear term c S_z:
+    2 nbar (ladder) or 2 nbar + 1 (Casimir)."""
+    if form is HamiltonianForm.LADDER:
+        return 2.0 * nbar
+    if form is HamiltonianForm.CASIMIR:
+        return 2.0 * nbar + 1.0
+    raise ValueError(f"unknown Hamiltonian form {form!r}")
+
+
 def build_hamiltonian(
     n: int,
     form: HamiltonianForm,
@@ -104,14 +123,12 @@ def build_hamiltonian(
     sz = collective_op("z", n)
     if form is HamiltonianForm.LADDER:
         h = collective_op("+", n) @ collective_op("-", n)
-        if include_linear:
-            h = h + 2.0 * nbar * sz
     elif form is HamiltonianForm.CASIMIR:
         h = s_squared(n) - sz @ sz
-        if include_linear:
-            h = h + (2.0 * nbar + 1.0) * sz
     else:
         raise ValueError(f"unknown Hamiltonian form {form!r}")
+    if include_linear:
+        h = h + _linear_coefficient(form, nbar) * sz
     return h
 
 
@@ -124,15 +141,15 @@ def compensation_rotation(
     Returns ('z', -2 nbar phi) for the ladder form and
     ('z', -(2 nbar + 1) phi) for the Casimir form.
     """
-    if form is HamiltonianForm.LADDER:
-        return ("z", -2.0 * nbar * phi)
-    if form is HamiltonianForm.CASIMIR:
-        return ("z", -(2.0 * nbar + 1.0) * phi)
-    raise ValueError(f"unknown Hamiltonian form {form!r}")
+    return ("z", -_linear_coefficient(form, nbar) * phi)
 
 
 def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -> np.ndarray:
-    """The compensation rotation applied to every qubit, as a matrix."""
+    """The compensation rotation applied to every qubit, as a matrix.
+
+    Built from Kronecker products of the one-qubit rotation, independently
+    of the diagonal phases `evolve` uses, so it can serve as a reference.
+    """
     n = _check_atoms(n)
     axis, angle = compensation_rotation(form, nbar, phi)
     single = rotation(axis, angle)
@@ -140,6 +157,15 @@ def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -
     for _ in range(n):
         layer = kron(layer, single)
     return layer
+
+
+@lru_cache(maxsize=None)
+def _spectrum(n: int, form: HamiltonianForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (eigenvalues, eigenvectors, diagonal of S_z) of the
+    linear-free Hamiltonian; arguments are validated by the caller."""
+    w, v = hermitian_spectrum(build_hamiltonian(n, form))
+    sz = np.diag(collective_op("z", n)).real.copy()
+    return read_only(w), read_only(v), read_only(sz)
 
 
 def evolve(
@@ -150,16 +176,29 @@ def evolve(
     include_linear: bool = False,
     compensate: bool = False,
 ) -> np.ndarray:
-    """Collective evolution exp(-i phi H / (hbar eta)).
+    """Collective evolution exp(-i phi H / (hbar eta)), as a fresh array.
 
-    When compensate is true the per-qubit compensation rotation is
-    appended, cancelling exactly the linear terms present in H; the
-    compensated result is then independent of nbar and equals the
-    include_linear=False evolution.  (With include_linear=False there is
-    nothing to cancel and compensate is a no-op.)
+    The linear-free part is V e^{-i phi Lambda} V^dagger from the cached
+    spectrum of that Hamiltonian.  Because the linear term c S_z commutes
+    with the rest, include_linear multiplies it by the diagonal thermal
+    phases e^{-i phi c S_z}.  When compensate is true the per-qubit
+    compensation rotation is appended: R_z(angle) on every qubit is
+    exactly e^{-i angle S_z}, and angle = -c phi, so it cancels those
+    phases and the compensated result is independent of nbar and equals
+    the include_linear=False evolution.  (With include_linear=False there
+    is nothing to cancel and compensate is a no-op.)
+
+    Raises:
+        NonFiniteValue: if phi or nbar is NaN or infinite.
     """
-    h = build_hamiltonian(n, form, nbar=nbar, include_linear=include_linear)
-    u = expm_hermitian(h, phi)
-    if compensate and include_linear:
-        u = compensation_layer(n, form, nbar, phi) @ u
+    n = _check_atoms(n)
+    if not isinstance(form, HamiltonianForm):
+        raise ValueError(f"unknown Hamiltonian form {form!r}")
+    for name, value in (("phi", phi), ("nbar", nbar)):
+        if not isfinite(value):
+            raise NonFiniteValue(f"{name} must be finite, got {value}")
+    w, v, sz = _spectrum(n, form)
+    u = expm_spectral(w, v, phi)
+    if include_linear and not compensate:
+        u = np.exp(-1j * phi * _linear_coefficient(form, nbar) * sz)[:, None] * u
     return u

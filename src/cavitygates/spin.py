@@ -13,13 +13,14 @@ up the phase exp(-2 i phi)):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, isclose, sqrt
 
 import numpy as np
 
 from . import gates
 from .errors import IndexOutOfRange, InvalidQuantumNumbers
-from .linalg import kron
+from .linalg import kron, read_only
 
 _SIGMA = {
     "x": gates.SIGMA_X,
@@ -38,39 +39,64 @@ def _check_atoms(n: int) -> int:
     return int(n)
 
 
+def _check_axis(axis: str) -> str:
+    if not isinstance(axis, str) or axis not in _SIGMA:
+        raise ValueError(f"axis must be one of x, y, z, +, -; got {axis!r}")
+    return axis
+
+
+# The operators below are fixed matrices, built once per argument tuple
+# and shared read-only.  The public functions validate their arguments
+# first, so the caches only ever see canonical (str, int) keys.
+
+
 def pauli(axis: str, k: int, n: int) -> np.ndarray:
     """Pauli operator on atom k of an n-atom register (1-based k).
 
-    Returns 1 x ... x sigma_axis x ... x 1 with sigma in slot k.
+    Returns 1 x ... x sigma_axis x ... x 1 with sigma in slot k, as a
+    shared read-only array.
     """
     n = _check_atoms(n)
-    if axis not in _SIGMA:
-        raise ValueError(f"axis must be one of x, y, z, +, -; got {axis!r}")
-    if not 1 <= k <= n:
+    axis = _check_axis(axis)
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise IndexOutOfRange(f"atom index {k} outside register of size {n}")
+    return _pauli(axis, int(k), n)
+
+
+@lru_cache(maxsize=None)
+def _pauli(axis: str, k: int, n: int) -> np.ndarray:
     op = np.array([[1.0 + 0j]])
     for slot in range(1, n + 1):
         op = kron(op, _SIGMA[axis] if slot == k else np.eye(2))
-    return op
+    return read_only(op)
 
 
 def collective_op(axis: str, n: int) -> np.ndarray:
-    """Collective spin operator.
+    """Collective spin operator, as a shared read-only array.
 
     S_{x,y,z} = (1/2) sum_k sigma^{(k)};  S_+- = sum_k sigma_+-^{(k)}
     (no 1/2 on the ladder operators, see module docstring).
     """
     n = _check_atoms(n)
-    total = sum(pauli(axis, k, n) for k in range(1, n + 1))
+    return _collective_op(_check_axis(axis), n)
+
+
+@lru_cache(maxsize=None)
+def _collective_op(axis: str, n: int) -> np.ndarray:
+    total = sum(_pauli(axis, k, n) for k in range(1, n + 1))
     if axis in "xyz":
         total = total / 2
-    return total
+    return read_only(total)
 
 
 def s_squared(n: int) -> np.ndarray:
-    """Total angular momentum square S_x^2 + S_y^2 + S_z^2."""
-    n = _check_atoms(n)
-    return sum(collective_op(a, n) @ collective_op(a, n) for a in "xyz")
+    """Total angular momentum square S_x^2 + S_y^2 + S_z^2 (shared, read-only)."""
+    return _s_squared(_check_atoms(n))
+
+
+@lru_cache(maxsize=None)
+def _s_squared(n: int) -> np.ndarray:
+    return read_only(sum(_collective_op(a, n) @ _collective_op(a, n) for a in "xyz"))
 
 
 def dicke_projector_g() -> np.ndarray:

@@ -24,6 +24,7 @@ as an explicit final step.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import atan, pi, sqrt
 
 import numpy as np
@@ -166,6 +167,23 @@ def _other_atom(control: int, target: int) -> int:
     return (atoms - {control, target}).pop()
 
 
+@lru_cache(maxsize=None)
+def _cnot3_corrections() -> tuple[LocalLayer, LocalLayer]:
+    """Pre/post layers of the three-atom CNOT core U23 (1 x R_y(phi_f)) U23,
+    on slots 1 (control) and 2 (target).  The core does not depend on the
+    labelling, so it is solved once; the layers are immutable and shared."""
+    u23 = u23_gate()
+    core = u23 @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE)) @ u23
+    return _correction_layers(core, CNOT3_GLOBAL_PHASE, (1, 2))
+
+
+def _relabel(layer: LocalLayer, qubits: tuple[int, int]) -> LocalLayer:
+    """Move a layer on slots (1, 2) onto the given pair of atoms."""
+    return LocalLayer(
+        tuple((qubits[slot - 1], axis, angle) for slot, axis, angle in layer.rotations)
+    )
+
+
 def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     """CNOT between two atoms of a three-atom register, third untouched.
 
@@ -177,9 +195,7 @@ def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     Total collective time 8 pi / 3 (units 1/eta).
     """
     idle = _other_atom(control, target)
-    u23 = u23_gate()
-    core = u23 @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE)) @ u23
-    pre, post = _correction_layers(core, CNOT3_GLOBAL_PHASE, (control, target))
+    pre, post = (_relabel(layer, (control, target)) for layer in _cnot3_corrections())
     echo = _echo_steps(idle, 2.0 * pi / 3.0)
     middle = LocalLayer(((target, "y", CNOT3_MIDDLE_ANGLE),))
     return GateSequence(

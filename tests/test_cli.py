@@ -86,6 +86,16 @@ def test_evolve_no_compensate_exposes_thermal_rotation(capsys):
     assert np.abs(raw - cold).max() > 1e-3
 
 
+@pytest.mark.parametrize(
+    "extra", [("--phi", "nan"), ("--phi", "inf"), ("--phi", "0.5", "--nbar", "inf")]
+)
+def test_evolve_non_finite_input_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "evolve", "--atoms", "2", *extra)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_synthesize_cnot2_json(capsys):
     code, out, _ = run(capsys, "synthesize", "cnot2", "--json")
     assert code == 0

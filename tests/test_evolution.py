@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import DegenerateParams
+from cavitygates.errors import DegenerateParams, IndexOutOfRange, NonFiniteValue
 from cavitygates.evolution import (
     CavityParams,
     HamiltonianForm,
+    _spectrum,
     build_hamiltonian,
     compensation_layer,
     compensation_rotation,
@@ -13,8 +15,10 @@ from cavitygates.evolution import (
     evolve,
     validity_ratio,
 )
-from cavitygates.linalg import phase_distance
+from cavitygates.linalg import expm_hermitian, phase_distance
+from cavitygates.sequences import compose
 from cavitygates.spin import dicke_projector_g
+from cavitygates.synthesis import cnot2_sequence
 
 LADDER = HamiltonianForm.LADDER
 CASIMIR = HamiltonianForm.CASIMIR
@@ -145,3 +149,71 @@ def test_compensation_placement_is_free():
         split = half @ raw @ half
         assert np.abs(after - before).max() < 1e-12
         assert np.abs(after - split).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "phi,nbar",
+    [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)],
+)
+def test_evolve_rejects_non_finite_input(phi, nbar):
+    with pytest.raises(NonFiniteValue):
+        evolve(2, phi, LADDER, nbar=nbar, include_linear=True, compensate=True)
+    # nbar is validated even where the ideal evolution does not use it
+    with pytest.raises(NonFiniteValue):
+        evolve(3, phi, CASIMIR, nbar=nbar)
+
+
+def test_compose_rejects_non_finite_nbar():
+    for nbar in (np.inf, np.nan):
+        with pytest.raises(NonFiniteValue):
+            compose(cnot2_sequence(), nbar=nbar)
+
+
+def test_evolve_rejects_bad_form_and_atom_count():
+    with pytest.raises(ValueError):
+        evolve(2, 0.5, "ladder")
+    with pytest.raises(IndexOutOfRange):
+        evolve(2.0, 0.5, LADDER)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("form", list(HamiltonianForm))
+def test_cached_spectrum_is_read_only(n, form):
+    for array in _spectrum(n, form):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_mutating_a_result_does_not_leak_into_the_next_call():
+    for call in (
+        lambda: evolve(3, 0.7, CASIMIR),
+        lambda: evolve(2, 0.0, LADDER),
+        lambda: evolve(3, 0.7, LADDER, nbar=1.5, include_linear=True),
+        lambda: evolve(3, 0.7, LADDER, nbar=1.5, include_linear=True, compensate=True),
+        lambda: compose(cnot2_sequence(), nbar=0.5),
+    ):
+        first = call()
+        expected = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(call(), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    form=st.sampled_from(list(HamiltonianForm)),
+    phi=st.floats(min_value=-20.0, max_value=20.0),
+    nbar=st.floats(min_value=0.0, max_value=10.0),
+    include_linear=st.booleans(),
+    compensate=st.booleans(),
+)
+def test_evolve_matches_direct_exponential(n, form, phi, nbar, include_linear, compensate):
+    # reference: diagonalize the full Hamiltonian on every call, and build
+    # the compensation from Kronecker products of one-qubit rotations
+    h = build_hamiltonian(n, form, nbar=nbar, include_linear=include_linear)
+    reference = expm_hermitian(h, phi)
+    if compensate and include_linear:
+        reference = compensation_layer(n, form, nbar, phi) @ reference
+    u = evolve(n, phi, form, nbar=nbar, include_linear=include_linear, compensate=compensate)
+    assert np.abs(u - reference).max() < 1e-10

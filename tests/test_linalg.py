@@ -55,6 +55,18 @@ def test_kron_associativity_is_bit_identical(vals):
     assert np.array_equal(left, right)
 
 
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kron_is_bit_identical_to_numpy(da, db, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+    b = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+
+
 def test_dagger_involution_and_values():
     assert_allclose(dagger(np.eye(3)), np.eye(3))
     assert_allclose(dagger(np.diag([1j, -1j])), np.diag([-1j, 1j]))

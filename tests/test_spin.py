@@ -35,6 +35,32 @@ def test_pauli_index_out_of_range():
         pauli("x", 0, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_operators_are_read_only(n):
+    ops = [pauli("x", 1, n), s_squared(n)] + [collective_op(a, n) for a in "xyz+-"]
+    for op in ops:
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+
+def test_validation_runs_before_the_cache():
+    # warm the caches with valid calls first: a cache keyed on the raw
+    # arguments would answer 2.0 == 2 from them, and fail on a list key
+    collective_op("z", 2)
+    pauli("x", 1, 2)
+    with pytest.raises(IndexOutOfRange):
+        collective_op("z", 2.0)
+    with pytest.raises(IndexOutOfRange):
+        pauli("x", 1, [2])
+    with pytest.raises(IndexOutOfRange):
+        pauli("x", 1.0, 2)
+    with pytest.raises(IndexOutOfRange):
+        s_squared(np.float64(3))
+    with pytest.raises(ValueError):
+        collective_op("w", 2)
+
+
 def test_collective_z():
     assert_allclose(collective_op("z", 1), np.diag([0.5, -0.5]))
     # derived by summing the two embedded sigma_z / 2

@@ -15,6 +15,7 @@ from cavitygates.sequences import (
     collective_time,
     compose,
 )
+from cavitygates import synthesis
 from cavitygates.synthesis import (
     cnot2_sequence,
     cnot3_sequence,
@@ -218,3 +219,33 @@ def test_builders_are_deterministic():
     a, b = cnot2_sequence(), cnot2_sequence()
     assert a == b
     assert cnot3_sequence(3, 1) == cnot3_sequence(3, 1)
+
+
+def test_cnot3_corrections_are_solved_once(monkeypatch):
+    calls = []
+    solve = synthesis.solve_local_corrections
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "solve_local_corrections", counting)
+    synthesis._cnot3_corrections.cache_clear()
+    full = compose(toffoli_sequence(False))
+    for control, target in ((1, 2), (2, 1), (3, 1)):
+        cnot3_sequence(control, target)
+    assert len(calls) == 1
+    assert phase_distance(full, toffoli_gate()) < 1e-8
+
+
+def test_cnot3_labellings_relabel_one_correction_pair():
+    # every labelling carries the same angles, moved onto its own atoms
+    def angles(seq):
+        return [[(axis, angle) for _, axis, angle in seq.steps[i].rotations] for i in (0, -2)]
+
+    reference = angles(cnot3_sequence(2, 3))
+    for control, target in ((1, 2), (1, 3), (2, 1), (3, 1), (3, 2)):
+        seq = cnot3_sequence(control, target)
+        assert angles(seq) == reference
+        for i in (0, -2):
+            assert {q for q, _, _ in seq.steps[i].rotations} <= {control, target}
