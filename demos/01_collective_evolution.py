@@ -13,11 +13,13 @@ from cavitygates import (
     HamiltonianForm,
     build_hamiltonian,
     collective_op,
+    compensation_layer,
     compensation_rotation,
     coupling_eta,
     dicke_projector_g,
     evolve,
     s_squared,
+    thermal_evolve,
     validity_ratio,
 )
 from cavitygates.serialize import format_matrix
@@ -46,12 +48,12 @@ print("|00> picks up e^(-2 i phi); the middle block mixes |01>, |10>.")
 
 # --- thermal compensation ------------------------------------------------
 print("\nthermal compensation:")
-cold = evolve(2, phi, HamiltonianForm.LADDER, nbar=0.0, include_linear=True, compensate=True)
 for nbar in (0.5, 2.0, 5.0):
-    hot = evolve(2, phi, HamiltonianForm.LADDER, nbar=nbar, include_linear=True, compensate=True)
+    hot = thermal_evolve(2, phi, HamiltonianForm.LADDER, nbar)
+    fixed = compensation_layer(2, HamiltonianForm.LADDER, nbar, phi) @ hot
     axis, angle = compensation_rotation(HamiltonianForm.LADDER, nbar, phi)
-    print(f"  nbar = {nbar}: R_{axis}({angle / np.pi:+.3f} pi) per qubit, "
-          f"max deviation from nbar=0 evolution {np.abs(hot - cold).max():.2e}")
+    print(f"  nbar = {nbar}: thermal evolution is {np.abs(hot - u).max():.2e} off the ideal one, "
+          f"{np.abs(fixed - u).max():.2e} after R_{axis}({angle / np.pi:+.3f} pi) per qubit")
 
 # --- where the numbers come from ----------------------------------------
 params = CavityParams(g=2 * np.pi * 20e3, delta=2 * np.pi * 1e6, kappa=2 * np.pi * 50e3)

@@ -8,6 +8,7 @@ from .errors import (
     DegenerateParams,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidAxis,
     InvalidBranch,
     InvalidQuantumNumbers,
     InvalidQubits,
@@ -58,6 +59,7 @@ from .evolution import (
     compensation_rotation,
     coupling_eta,
     evolve,
+    thermal_evolve,
     validity_ratio,
 )
 from .invariants import (

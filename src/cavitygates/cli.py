@@ -28,8 +28,10 @@ from .evolution import (
     CavityParams,
     HamiltonianForm,
     VALIDITY_WARN_THRESHOLD,
+    _check_finite,
     coupling_eta,
     evolve,
+    thermal_evolve,
     validity_ratio,
 )
 from .gates import NAMED_GATES, named_gate
@@ -39,14 +41,6 @@ from .synthesis import cnot2_sequence, cnot3_sequence, toffoli_sequence
 
 #: angles are printed in units of pi with this many significant digits
 ANGLE_DIGITS = 12
-
-#: collective-phase cost of each named gate, units of 1/eta
-GATE_PHASE_BUDGET = {
-    "cnot2": pi / 2,
-    "cnot3": 8 * pi / 3,
-    "toffoli": 16 * pi,
-    "toffoli-simplified": 8 * pi,
-}
 
 
 def _fmt_angle(radians: float) -> str:
@@ -74,14 +68,11 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_evolve(args) -> int:
     form = HamiltonianForm(args.form)
-    u = evolve(
-        args.atoms,
-        args.phi,
-        form,
-        nbar=args.nbar,
-        include_linear=True,
-        compensate=not args.no_compensate,
-    )
+    _check_finite("nbar", args.nbar)
+    if args.no_compensate:
+        u = thermal_evolve(args.atoms, args.phi, form, args.nbar)
+    else:
+        u = evolve(args.atoms, args.phi, form)
     if args.json:
         print(json.dumps(serialize.matrix_to_json(u)))
     else:
@@ -163,9 +154,16 @@ def _cmd_params(args) -> int:
     )
     eta = coupling_eta(params)
     ratio = validity_ratio(params)
+    # collective phase of each named gate, units of 1/eta
+    phases = {
+        "cnot2": collective_time(cnot2_sequence()),
+        "cnot3": collective_time(cnot3_sequence(2, 3)),
+        "toffoli": collective_time(toffoli_sequence(simplified=False)),
+        "toffoli-simplified": collective_time(toffoli_sequence(simplified=True)),
+    }
     times = {
-        name: (budget / abs(eta) if eta != 0 else float("inf"))
-        for name, budget in GATE_PHASE_BUDGET.items()
+        name: (phase / abs(eta) if eta != 0 else float("inf"))
+        for name, phase in phases.items()
     }
     if ratio >= VALIDITY_WARN_THRESHOLD:
         print(
@@ -188,8 +186,7 @@ def _cmd_params(args) -> int:
     print(f"eta = {eta:.6g} rad/s")
     print(f"validity ratio g sqrt(N) / |i delta + kappa| = {ratio:.6g}")
     for name, seconds in times.items():
-        budget = GATE_PHASE_BUDGET[name]
-        print(f"{name}: phase {_fmt_angle(budget)} -> {seconds:.6g} s")
+        print(f"{name}: phase {_fmt_angle(phases[name])} -> {seconds:.6g} s")
     return 0
 
 

@@ -45,6 +45,10 @@ class InvalidBranch(CavityGatesError):
     """Requested spin-echo timing branch does not yield a gate."""
 
 
+class InvalidAxis(CavityGatesError):
+    """A rotation axis is not one of x, y, z."""
+
+
 class InvalidQubits(CavityGatesError):
     """Control/target qubit selection is invalid."""
 

@@ -18,13 +18,13 @@ R_z(-(2 nbar + 1) phi) (Casimir) per qubit, where phi = eta t.
 All evolution APIs take the dimensionless phase phi = eta t; physical
 seconds enter only through `coupling_eta` for reporting.
 
-The interaction is fixed; only its duration varies.  So `evolve`
-diagonalizes the linear-free Hamiltonian once per (atom count, form),
-keeps its read-only spectrum (eigenvalues, eigenvectors, diagonal of
-S_z), and renders every pulse as V e^{-i phi Lambda} V^dagger.  S_z is
-diagonal in the computational basis, so the thermal term and the
-compensation rotations are diagonal phases that scale the rows of that
-matrix; no second diagonalization is needed.
+`evolve` is the ideal evolution under the linear-free Hamiltonian, and
+so also the compensated one for every nbar; all gate sequences use it.
+`thermal_evolve` keeps the linear term, as the raw reference the
+compensation layer must undo.  The linear-free Hamiltonian is
+diagonalized once per (atom count, form); every pulse is then
+V e^{-i phi Lambda} V^dagger, and since S_z is diagonal the thermal
+term only scales its rows by phases.
 """
 
 from __future__ import annotations
@@ -147,16 +147,11 @@ def compensation_rotation(
 def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -> np.ndarray:
     """The compensation rotation applied to every qubit, as a matrix.
 
-    Built from Kronecker products of the one-qubit rotation, independently
-    of the diagonal phases `evolve` uses, so it can serve as a reference.
+    Built from Kronecker products of the one-qubit rotation, not from the
+    diagonal phases of `thermal_evolve`, so it can serve as a reference.
     """
-    n = _check_atoms(n)
-    axis, angle = compensation_rotation(form, nbar, phi)
-    single = rotation(axis, angle)
-    layer = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        layer = kron(layer, single)
-    return layer
+    single = rotation(*compensation_rotation(form, nbar, phi))
+    return kron(*[single] * _check_atoms(n))
 
 
 @lru_cache(maxsize=None)
@@ -168,37 +163,45 @@ def _spectrum(n: int, form: HamiltonianForm) -> tuple[np.ndarray, np.ndarray, np
     return read_only(w), read_only(v), read_only(sz)
 
 
-def evolve(
-    n: int,
-    phi: float,
-    form: HamiltonianForm,
-    nbar: float = 0.0,
-    include_linear: bool = False,
-    compensate: bool = False,
-) -> np.ndarray:
-    """Collective evolution exp(-i phi H / (hbar eta)), as a fresh array.
+def _check_finite(name: str, value: float) -> None:
+    """Raise NonFiniteValue if value is NaN or infinite."""
+    if not isfinite(value):
+        raise NonFiniteValue(f"{name} must be finite, got {value}")
 
-    The linear-free part is V e^{-i phi Lambda} V^dagger from the cached
-    spectrum of that Hamiltonian.  Because the linear term c S_z commutes
-    with the rest, include_linear multiplies it by the diagonal thermal
-    phases e^{-i phi c S_z}.  When compensate is true the per-qubit
-    compensation rotation is appended: R_z(angle) on every qubit is
-    exactly e^{-i angle S_z}, and angle = -c phi, so it cancels those
-    phases and the compensated result is independent of nbar and equals
-    the include_linear=False evolution.  (With include_linear=False there
-    is nothing to cancel and compensate is a no-op.)
+
+def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
+    """Ideal collective evolution exp(-i phi H_0), as a fresh array.
+
+    H_0 is S+ S- (ladder) or S^2 - S_z^2 (Casimir), the Hamiltonian
+    without its linear term.  This is also the compensated evolution for
+    every nbar (see `thermal_evolve`).
 
     Raises:
-        NonFiniteValue: if phi or nbar is NaN or infinite.
+        NonFiniteValue: if phi is NaN or infinite.
     """
     n = _check_atoms(n)
     if not isinstance(form, HamiltonianForm):
         raise ValueError(f"unknown Hamiltonian form {form!r}")
-    for name, value in (("phi", phi), ("nbar", nbar)):
-        if not isfinite(value):
-            raise NonFiniteValue(f"{name} must be finite, got {value}")
-    w, v, sz = _spectrum(n, form)
-    u = expm_spectral(w, v, phi)
-    if include_linear and not compensate:
-        u = np.exp(-1j * phi * _linear_coefficient(form, nbar) * sz)[:, None] * u
-    return u
+    _check_finite("phi", phi)
+    w, v, _ = _spectrum(n, form)
+    return expm_spectral(w, v, phi)
+
+
+def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np.ndarray:
+    """Raw thermal evolution exp(-i phi (H_0 + c S_z)), as a fresh array.
+
+    c = 2 nbar (ladder) or 2 nbar + 1 (Casimir).  c S_z commutes with
+    H_0, so this is `evolve` with its rows scaled by e^{-i phi c S_z},
+    and the per-qubit compensation R_z(-c phi) = e^{+i phi c S_z} undoes
+    it exactly, before, after or split around the pulse:
+
+        compensation_layer(n, form, nbar, phi) @ thermal_evolve(n, phi, form, nbar)
+            == evolve(n, phi, form)
+
+    Raises:
+        NonFiniteValue: if phi or nbar is NaN or infinite.
+    """
+    u = evolve(n, phi, form)
+    _check_finite("nbar", nbar)
+    sz = _spectrum(n, form)[2]
+    return np.exp(-1j * phi * _linear_coefficient(form, nbar) * sz)[:, None] * u

@@ -29,15 +29,22 @@ def dagger(a) -> np.ndarray:
     return as_operator(a).conj().T
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the left factor is the more significant subsystem.
+def kron(first, *rest) -> np.ndarray:
+    """Kronecker product of one or more factors, as a fresh array; the
+    leftmost factor is the most significant subsystem.
 
-    A broadcast outer product, entry for entry the same products as
-    np.kron (so bit-identical to it) without its generic-rank overhead.
+    A left fold of broadcast outer products, entry for entry the same
+    products as chained np.kron (so bit-identical to it) without its
+    generic-rank overhead.
     """
-    a, b = as_operator(a), as_operator(b)
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+    out = as_operator(first)
+    if not rest:
+        return out.copy()
+    for factor in rest:
+        b = as_operator(factor)
+        rows, cols = out.shape[0] * b.shape[0], out.shape[1] * b.shape[1]
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+    return out
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

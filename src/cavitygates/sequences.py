@@ -4,9 +4,9 @@ A sequence step is one of
 
   * CollectiveEvolution(phi, form): the fixed collective interaction for
     dimensionless time phi = eta t, with the linear S_z terms understood
-    to be compensated away (compose() renders the full thermal evolution
-    followed by the compensation layer, so the result is independent of
-    the mean photon number).
+    to be compensated away.  compose() renders it as the ideal
+    `evolve`, which equals the compensated thermal evolution for every
+    mean photon number.
   * LocalLayer(rotations): single-qubit rotations, stored as (qubit,
     axis, angle) triples in application order; rotations on distinct
     qubits commute.  Assumed instantaneous relative to the collective
@@ -20,14 +20,14 @@ so the first step acts first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, isfinite
 from typing import Union
 
 import numpy as np
 
-from .errors import IndexOutOfRange
-from .evolution import HamiltonianForm, evolve
-from .gates import rotation
+from .errors import IndexOutOfRange, InvalidAxis, NonFiniteValue
+from .evolution import HamiltonianForm, _check_finite, evolve
+from .gates import _AXES, rotation
 from .linalg import kron
 
 
@@ -60,12 +60,24 @@ class GateSequence:
     def __post_init__(self):
         for step in self.steps:
             if isinstance(step, LocalLayer):
-                for qubit, _axis, _angle in step.rotations:
+                for qubit, axis, angle in step.rotations:
                     if not 1 <= qubit <= self.n_atoms:
                         raise IndexOutOfRange(
                             f"rotation on qubit {qubit} outside register of "
                             f"size {self.n_atoms}"
                         )
+                    if axis not in _AXES:
+                        raise InvalidAxis(
+                            f"rotation axis must be one of x, y, z; got {axis!r}"
+                        )
+                    if not isfinite(angle):
+                        raise NonFiniteValue(
+                            f"rotation angle must be finite, got {angle}"
+                        )
+            elif isinstance(step, CollectiveEvolution) and not isfinite(step.phi):
+                raise NonFiniteValue(f"phi must be finite, got {step.phi}")
+            elif isinstance(step, GlobalPhase) and not isfinite(step.theta):
+                raise NonFiniteValue(f"theta must be finite, got {step.theta}")
 
 
 def local_layer_unitary(layer: LocalLayer, n_atoms: int) -> np.ndarray:
@@ -76,19 +88,13 @@ def local_layer_unitary(layer: LocalLayer, n_atoms: int) -> np.ndarray:
             raise IndexOutOfRange(f"qubit {qubit} outside register of size {n_atoms}")
         # later rotations act after (left of) earlier ones
         singles[qubit - 1] = rotation(axis, angle) @ singles[qubit - 1]
-    out = np.array([[1.0 + 0j]])
-    for single in singles:
-        out = kron(out, single)
-    return out
+    return kron(*singles)
 
 
-def step_unitary(step: SequenceStep, n_atoms: int, nbar: float = 0.0) -> np.ndarray:
+def step_unitary(step: SequenceStep, n_atoms: int) -> np.ndarray:
     """Dense unitary of one step; collective steps are compensated."""
     if isinstance(step, CollectiveEvolution):
-        return evolve(
-            n_atoms, step.phi, step.form, nbar=nbar,
-            include_linear=True, compensate=True,
-        )
+        return evolve(n_atoms, step.phi, step.form)
     if isinstance(step, LocalLayer):
         return local_layer_unitary(step, n_atoms)
     if isinstance(step, GlobalPhase):
@@ -99,12 +105,13 @@ def step_unitary(step: SequenceStep, n_atoms: int, nbar: float = 0.0) -> np.ndar
 def compose(seq: GateSequence, nbar: float = 0.0) -> np.ndarray:
     """Multiply the step unitaries, first listed step acting first.
 
-    Collective steps are rendered with thermal compensation on, so the
-    result does not depend on nbar.
+    Collective steps are compensated, so the result does not depend on
+    nbar, which is only checked to be finite.
     """
+    _check_finite("nbar", nbar)
     out = np.eye(2 ** seq.n_atoms, dtype=complex)
     for step in seq.steps:
-        out = step_unitary(step, seq.n_atoms, nbar=nbar) @ out
+        out = step_unitary(step, seq.n_atoms) @ out
     return out
 
 
@@ -117,14 +124,3 @@ def collective_time(seq: GateSequence) -> float:
     return fsum(
         abs(step.phi) for step in seq.steps if isinstance(step, CollectiveEvolution)
     )
-
-
-def concat(label: str, *parts: GateSequence) -> GateSequence:
-    """Concatenate sequences on the same register into one."""
-    sizes = {part.n_atoms for part in parts}
-    if len(sizes) != 1:
-        raise ValueError(f"cannot concatenate sequences on registers {sizes}")
-    steps: tuple[SequenceStep, ...] = ()
-    for part in parts:
-        steps = steps + part.steps
-    return GateSequence(n_atoms=sizes.pop(), steps=steps, label=label)

@@ -130,16 +130,6 @@ def sequence_from_json(data: dict) -> GateSequence:
 
 # -- cavity parameters ----------------------------------------------------
 
-def cavity_params_from_json(data: dict) -> CavityParams:
-    return CavityParams(
-        g=float(data["g"]),
-        delta=float(data["delta"]),
-        kappa=float(data["kappa"]),
-        nbar=float(data.get("nbar", 0.0)),
-        n_atoms=int(data.get("n_atoms", 2)),
-    )
-
-
 def cavity_params_to_json(params: CavityParams) -> dict:
     return {
         "g": params.g,

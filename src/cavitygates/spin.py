@@ -65,10 +65,9 @@ def pauli(axis: str, k: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pauli(axis: str, k: int, n: int) -> np.ndarray:
-    op = np.array([[1.0 + 0j]])
-    for slot in range(1, n + 1):
-        op = kron(op, _SIGMA[axis] if slot == k else np.eye(2))
-    return read_only(op)
+    return read_only(
+        kron(*(_SIGMA[axis] if slot == k else np.eye(2) for slot in range(1, n + 1)))
+    )
 
 
 def collective_op(axis: str, n: int) -> np.ndarray:

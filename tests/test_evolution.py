@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import cavitygates
 from cavitygates.errors import DegenerateParams, IndexOutOfRange, NonFiniteValue
 from cavitygates.evolution import (
     CavityParams,
@@ -13,6 +16,7 @@ from cavitygates.evolution import (
     compensation_rotation,
     coupling_eta,
     evolve,
+    thermal_evolve,
     validity_ratio,
 )
 from cavitygates.linalg import expm_hermitian, phase_distance
@@ -114,6 +118,12 @@ def test_evolve_additivity():
         assert_allclose(u, evolve(3, 1.3, form), atol=1e-12)
 
 
+def test_evolution_api():
+    assert list(inspect.signature(evolve).parameters) == ["n", "phi", "form"]
+    assert list(inspect.signature(thermal_evolve).parameters) == ["n", "phi", "form", "nbar"]
+    assert cavitygates.thermal_evolve is thermal_evolve
+
+
 def test_compensation_rotation_angles():
     assert compensation_rotation(LADDER, 0.0, 1.0) == ("z", 0.0)
     axis, angle = compensation_rotation(CASIMIR, 0.0, np.pi)
@@ -123,9 +133,9 @@ def test_compensation_rotation_angles():
 
 
 def test_compensated_evolution_is_nbar_independent():
-    base = evolve(2, 0.8, LADDER, nbar=0.0, include_linear=True, compensate=True)
-    for nbar in (0.5, 2.5, 5.0):
-        u = evolve(2, 0.8, LADDER, nbar=nbar, include_linear=True, compensate=True)
+    base = evolve(2, 0.8, LADDER)
+    for nbar in (0.0, 0.5, 2.5, 5.0):
+        u = compensation_layer(2, LADDER, nbar, 0.8) @ thermal_evolve(2, 0.8, LADDER, nbar)
         assert phase_distance(u, base) < 1e-9
         assert np.abs(u - base).max() < 1e-9
 
@@ -133,7 +143,7 @@ def test_compensated_evolution_is_nbar_independent():
 def test_compensated_equals_dropped_linear():
     for form in (LADDER, CASIMIR):
         ideal = evolve(3, 0.6, form)
-        thermal = evolve(3, 0.6, form, nbar=1.7, include_linear=True, compensate=True)
+        thermal = compensation_layer(3, form, 1.7, 0.6) @ thermal_evolve(3, 0.6, form, 1.7)
         assert np.abs(ideal - thermal).max() < 1e-12
 
 
@@ -141,7 +151,7 @@ def test_compensation_placement_is_free():
     # S_z commutes with H, so the correction may come before, after, or split
     phi, nbar = 0.7, 1.3
     for form in (LADDER, CASIMIR):
-        raw = evolve(2, phi, form, nbar=nbar, include_linear=True)
+        raw = thermal_evolve(2, phi, form, nbar)
         comp = compensation_layer(2, form, nbar, phi)
         half = compensation_layer(2, form, nbar, phi / 2)
         after = comp @ raw
@@ -157,10 +167,12 @@ def test_compensation_placement_is_free():
 )
 def test_evolve_rejects_non_finite_input(phi, nbar):
     with pytest.raises(NonFiniteValue):
-        evolve(2, phi, LADDER, nbar=nbar, include_linear=True, compensate=True)
-    # nbar is validated even where the ideal evolution does not use it
+        thermal_evolve(2, phi, LADDER, nbar)
     with pytest.raises(NonFiniteValue):
-        evolve(3, phi, CASIMIR, nbar=nbar)
+        thermal_evolve(3, phi, CASIMIR, nbar)
+    if not np.isfinite(phi):
+        with pytest.raises(NonFiniteValue):
+            evolve(3, phi, CASIMIR)
 
 
 def test_compose_rejects_non_finite_nbar():
@@ -174,6 +186,10 @@ def test_evolve_rejects_bad_form_and_atom_count():
         evolve(2, 0.5, "ladder")
     with pytest.raises(IndexOutOfRange):
         evolve(2.0, 0.5, LADDER)
+    with pytest.raises(ValueError):
+        thermal_evolve(2, 0.5, "ladder", 1.0)
+    with pytest.raises(IndexOutOfRange):
+        thermal_evolve(4, 0.5, LADDER, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -189,8 +205,8 @@ def test_mutating_a_result_does_not_leak_into_the_next_call():
     for call in (
         lambda: evolve(3, 0.7, CASIMIR),
         lambda: evolve(2, 0.0, LADDER),
-        lambda: evolve(3, 0.7, LADDER, nbar=1.5, include_linear=True),
-        lambda: evolve(3, 0.7, LADDER, nbar=1.5, include_linear=True, compensate=True),
+        lambda: thermal_evolve(3, 0.7, LADDER, 1.5),
+        lambda: thermal_evolve(1, 0.7, CASIMIR, 0.0),
         lambda: compose(cnot2_sequence(), nbar=0.5),
     ):
         first = call()
@@ -205,15 +221,15 @@ def test_mutating_a_result_does_not_leak_into_the_next_call():
     form=st.sampled_from(list(HamiltonianForm)),
     phi=st.floats(min_value=-20.0, max_value=20.0),
     nbar=st.floats(min_value=0.0, max_value=10.0),
-    include_linear=st.booleans(),
-    compensate=st.booleans(),
 )
-def test_evolve_matches_direct_exponential(n, form, phi, nbar, include_linear, compensate):
+def test_evolve_matches_direct_exponential(n, form, phi, nbar):
     # reference: diagonalize the full Hamiltonian on every call, and build
     # the compensation from Kronecker products of one-qubit rotations
-    h = build_hamiltonian(n, form, nbar=nbar, include_linear=include_linear)
-    reference = expm_hermitian(h, phi)
-    if compensate and include_linear:
-        reference = compensation_layer(n, form, nbar, phi) @ reference
-    u = evolve(n, phi, form, nbar=nbar, include_linear=include_linear, compensate=compensate)
-    assert np.abs(u - reference).max() < 1e-10
+    ideal = evolve(n, phi, form)
+    thermal = thermal_evolve(n, phi, form, nbar)
+    h = build_hamiltonian(n, form)
+    assert np.abs(ideal - expm_hermitian(h, phi)).max() < 1e-10
+    h = build_hamiltonian(n, form, nbar=nbar, include_linear=True)
+    assert np.abs(thermal - expm_hermitian(h, phi)).max() < 1e-10
+    compensated = compensation_layer(n, form, nbar, phi) @ thermal
+    assert np.abs(compensated - ideal).max() < 1e-10

@@ -67,6 +67,28 @@ def test_kron_is_bit_identical_to_numpy(da, db, seed):
     assert np.array_equal(kron(a, b), np.kron(a, b))
 
 
+@given(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_variadic_kron_equals_chained_numpy(dims, seed):
+    rng = np.random.default_rng(seed)
+    factors = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+    chained = factors[0]
+    for factor in factors[1:]:
+        chained = np.kron(chained, factor)
+    assert np.array_equal(kron(*factors), chained)
+
+
+def test_kron_of_one_factor_is_a_fresh_copy():
+    out = kron(SIGMA_X)
+    assert np.array_equal(out, SIGMA_X)
+    out[0, 0] = 5.0
+    assert SIGMA_X[0, 0] == 0
+    with pytest.raises(TypeError):
+        kron()
+
+
 def test_dagger_involution_and_values():
     assert_allclose(dagger(np.eye(3)), np.eye(3))
     assert_allclose(dagger(np.diag([1j, -1j])), np.diag([-1j, 1j]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import IndexOutOfRange
+from cavitygates.errors import IndexOutOfRange, InvalidAxis, NonFiniteValue
 from cavitygates.evolution import HamiltonianForm, evolve
 from cavitygates.gates import rotation
 from cavitygates.linalg import kron, phase_distance
@@ -13,7 +13,6 @@ from cavitygates.sequences import (
     LocalLayer,
     collective_time,
     compose,
-    concat,
     local_layer_unitary,
 )
 
@@ -52,6 +51,30 @@ def test_local_layer_rejects_bad_qubit():
         GateSequence(2, (LocalLayer(((3, "x", 1.0),)),))
 
 
+@pytest.mark.parametrize("axis", ["w", "X", "+", ""])
+def test_local_layer_rejects_bad_axis(axis):
+    with pytest.raises(InvalidAxis):
+        GateSequence(2, (LocalLayer(((1, axis, 1.0),)),))
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_local_layer_rejects_non_finite_angle(angle):
+    with pytest.raises(NonFiniteValue):
+        GateSequence(2, (LocalLayer(((1, "z", 0.5), (2, "x", angle))),))
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf])
+def test_collective_step_rejects_non_finite_phi(phi):
+    with pytest.raises(NonFiniteValue):
+        GateSequence(2, (CollectiveEvolution(phi, LADDER),))
+
+
+@pytest.mark.parametrize("theta", [np.nan, -np.inf])
+def test_global_phase_rejects_non_finite_theta(theta):
+    with pytest.raises(NonFiniteValue):
+        GateSequence(2, (GlobalPhase(theta),))
+
+
 def test_global_phase_step():
     seq = GateSequence(1, (GlobalPhase(np.pi / 3),))
     assert_allclose(compose(seq), np.exp(1j * np.pi / 3) * np.eye(2))
@@ -82,13 +105,3 @@ def test_composed_sequences_are_nbar_independent():
     ref = compose(seq, nbar=0.0)
     for nbar in (0.5, 3.7):
         assert phase_distance(compose(seq, nbar=nbar), ref) < 1e-9
-
-
-def test_concat():
-    a = GateSequence(2, (GlobalPhase(0.1),), label="a")
-    b = GateSequence(2, (GlobalPhase(0.2),), label="b")
-    merged = concat("ab", a, b)
-    assert merged.label == "ab"
-    assert len(merged.steps) == 2
-    with pytest.raises(ValueError):
-        concat("bad", a, GateSequence(3))
