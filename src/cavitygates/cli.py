@@ -117,34 +117,16 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = verify.run_checks(args.target)
-    failed = False
-    payload = []
-    for report in reports:
-        failed = failed or not report.passed
-        if args.json:
-            entry = {
-                "name": report.name,
-                "status": report.status,
-                "metrics": [
-                    {
-                        "name": m.name,
-                        "value": m.value,
-                        "tolerance": m.tolerance,
-                        "passed": m.passed,
-                    }
-                    for m in report.metrics
-                ],
-            }
-            if report.artifacts:
-                entry["artifacts"] = report.artifacts
-            payload.append(entry)
-        else:
+    failed = not all(report.passed for report in reports)
+    if args.json:
+        payload = [serialize.report_to_json(report) for report in reports]
+        print(json.dumps({"status": "fail" if failed else "pass", "reports": payload}))
+    else:
+        for report in reports:
             print(f"[{report.status.upper()}] {report.name}")
             for m in report.metrics:
                 flag = "ok  " if m.passed else "FAIL"
                 print(f"    {flag} {m.name}: {m.value:.3e} (tol {m.tolerance:.1e})")
-    if args.json:
-        print(json.dumps({"status": "fail" if failed else "pass", "reports": payload}))
     return 1 if failed else 0
 
 

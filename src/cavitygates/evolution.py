@@ -55,6 +55,7 @@ class CavityParams:
 
     delta is the atom-cavity detuning omega_0 - omega; its sign sets the
     sign of eta.  nbar is the mean thermal photon number of the mode.
+    g, delta, kappa and nbar must be finite (NonFiniteValue otherwise).
     """
 
     g: float
@@ -64,6 +65,8 @@ class CavityParams:
     n_atoms: int = 2
 
     def __post_init__(self):
+        for name in ("g", "delta", "kappa", "nbar"):
+            _check_finite(name, getattr(self, name))
         if self.g < 0:
             raise ValueError("dipole coupling g must be >= 0")
         if self.kappa < 0:
@@ -155,12 +158,12 @@ def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -
 
 
 @lru_cache(maxsize=None)
-def _spectrum(n: int, form: HamiltonianForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (eigenvalues, eigenvectors, diagonal of S_z) of the
-    linear-free Hamiltonian; arguments are validated by the caller."""
-    w, v = hermitian_spectrum(build_hamiltonian(n, form))
+def _spectrum(n: int, form: HamiltonianForm) -> tuple[np.ndarray, ...]:
+    """Read-only (w, v, v^dagger, diagonal of S_z) of the linear-free
+    Hamiltonian; arguments are validated by the caller."""
+    w, v, vh = hermitian_spectrum(build_hamiltonian(n, form))
     sz = np.diag(collective_op("z", n)).real.copy()
-    return read_only(w), read_only(v), read_only(sz)
+    return read_only(w), read_only(v), read_only(vh), read_only(sz)
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -183,8 +186,8 @@ def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
     if not isinstance(form, HamiltonianForm):
         raise ValueError(f"unknown Hamiltonian form {form!r}")
     _check_finite("phi", phi)
-    w, v, _ = _spectrum(n, form)
-    return expm_spectral(w, v, phi)
+    w, v, vh, _ = _spectrum(n, form)
+    return expm_spectral(w, v, vh, phi)
 
 
 def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np.ndarray:
@@ -203,5 +206,5 @@ def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np
     """
     u = evolve(n, phi, form)
     _check_finite("nbar", nbar)
-    sz = _spectrum(n, form)[2]
+    sz = _spectrum(n, form)[3]
     return np.exp(-1j * phi * _linear_coefficient(form, nbar) * sz)[:, None] * u

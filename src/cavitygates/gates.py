@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import as_operator, expm_hermitian, kron
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidAxis
+from .linalg import as_operator, expm_hermitian, expm_spectral, hermitian_spectrum, kron, read_only
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -21,14 +21,20 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
 
-_AXES = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+#: Read-only (w, v, v^dagger) of each Pauli matrix; eigh is deterministic, so
+#: rendering from it equals a fresh expm_hermitian(sigma, theta / 2) bit for bit.
+_PAULI_SPECTRA = {
+    axis: tuple(read_only(a) for a in hermitian_spectrum(sigma))
+    for axis, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z))
+}
 
 
 def rotation(axis: str, theta: float) -> np.ndarray:
-    """Single-qubit rotation exp(-i theta sigma_axis / 2)."""
-    if axis not in _AXES:
-        raise ValueError(f"rotation axis must be one of x, y, z; got {axis!r}")
-    return expm_hermitian(_AXES[axis], theta / 2)
+    """Single-qubit rotation exp(-i theta sigma_axis / 2), as a fresh array;
+    InvalidAxis unless axis is x, y or z."""
+    if axis not in _PAULI_SPECTRA:
+        raise InvalidAxis(f"rotation axis must be one of x, y, z; got {axis!r}")
+    return expm_spectral(*_PAULI_SPECTRA[axis], theta / 2)
 
 
 def controlled_not(n_qubits: int, control: int, target: int) -> np.ndarray:

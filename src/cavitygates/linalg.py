@@ -65,8 +65,8 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) < tol)
 
 
-def hermitian_spectrum(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and unitary eigenvectors v of Hermitian h, h = v diag(w) v^dagger.
+def hermitian_spectrum(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """Eigenvalues w, unitary eigenvectors v and v^dagger of Hermitian h = v diag(w) v^dagger.
 
     Raises:
         NotHermitian: if h fails the Hermiticity check.
@@ -74,12 +74,13 @@ def hermitian_spectrum(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     m = as_operator(h)
     if not is_hermitian(m, tol):
         raise NotHermitian("generator of a unitary evolution must be Hermitian")
-    return np.linalg.eigh(m)
+    w, v = np.linalg.eigh(m)
+    return w, v, v.conj().T
 
 
-def expm_spectral(w: np.ndarray, v: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * h) from the spectrum (w, v) of a Hermitian h."""
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+def expm_spectral(w: np.ndarray, v: np.ndarray, vh: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """exp(-i * scale * h) from the spectrum (w, v, v^dagger) of a Hermitian h."""
+    return (v * np.exp(-1j * scale * w)) @ vh
 
 
 def expm_hermitian(h, scale: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidAxis, NonFiniteValue
 from .evolution import HamiltonianForm, _check_finite, evolve
-from .gates import _AXES, rotation
-from .linalg import kron
+from .gates import _PAULI_SPECTRA, rotation
+from .linalg import kron, read_only
+from .spin import _check_atoms
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,7 @@ class GateSequence:
     label: str = ""
 
     def __post_init__(self):
+        _check_atoms(self.n_atoms)
         for step in self.steps:
             if isinstance(step, LocalLayer):
                 for qubit, axis, angle in step.rotations:
@@ -66,7 +68,7 @@ class GateSequence:
                             f"rotation on qubit {qubit} outside register of "
                             f"size {self.n_atoms}"
                         )
-                    if axis not in _AXES:
+                    if axis not in _PAULI_SPECTRA:
                         raise InvalidAxis(
                             f"rotation axis must be one of x, y, z; got {axis!r}"
                         )
@@ -80,14 +82,19 @@ class GateSequence:
                 raise NonFiniteValue(f"theta must be finite, got {step.theta}")
 
 
+_IDENTITY_2 = read_only(np.eye(2, dtype=complex))
+
+
 def local_layer_unitary(layer: LocalLayer, n_atoms: int) -> np.ndarray:
-    """Dense unitary of a rotation layer on an n-atom register."""
-    singles = [np.eye(2, dtype=complex) for _ in range(n_atoms)]
+    """Dense unitary of a rotation layer on an n-atom register, as a fresh array."""
+    singles = [_IDENTITY_2] * n_atoms
     for qubit, axis, angle in layer.rotations:
         if not 1 <= qubit <= n_atoms:
             raise IndexOutOfRange(f"qubit {qubit} outside register of size {n_atoms}")
-        # later rotations act after (left of) earlier ones
-        singles[qubit - 1] = rotation(axis, angle) @ singles[qubit - 1]
+        single = rotation(axis, angle)
+        # later rotations act after (left of) earlier ones; the first is kept as is
+        prior = singles[qubit - 1]
+        singles[qubit - 1] = single if prior is _IDENTITY_2 else single @ prior
     return kron(*singles)
 
 

@@ -10,6 +10,9 @@ Sequence JSON:    {"label": .., "n_atoms": .., "steps": [...]} where each
                   losslessly through float64.
 Cavity JSON:      {"g": .., "delta": .., "kappa": .., "nbar": ..,
                   "n_atoms": ..} (rates in rad/s).
+Report JSON:      {"name": .., "status": "pass" | "fail", "metrics":
+                  [{"name": .., "value": .., "tolerance": .., "passed":
+                  ..}], "artifacts": {..}}, artifacts only when present.
 """
 
 from __future__ import annotations
@@ -138,3 +141,20 @@ def cavity_params_to_json(params: CavityParams) -> dict:
         "nbar": params.nbar,
         "n_atoms": params.n_atoms,
     }
+
+
+# -- verification reports --------------------------------------------------
+
+def report_to_json(report) -> dict:
+    """A `verify.Report` as Report JSON."""
+    entry = {
+        "name": report.name,
+        "status": report.status,
+        "metrics": [
+            {"name": m.name, "value": m.value, "tolerance": m.tolerance, "passed": m.passed}
+            for m in report.metrics
+        ],
+    }
+    if report.artifacts:
+        entry["artifacts"] = report.artifacts
+    return entry

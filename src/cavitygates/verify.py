@@ -256,21 +256,31 @@ def check_thermal_compensation() -> Report:
     )
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+def _haar_unitary(normals: np.ndarray) -> np.ndarray:
+    """Haar-random d x d unitaries from standard normals of shape (..., 2, d, d),
+    real parts before imaginary parts, stacked over the leading axes."""
+    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _round_trip_draws(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial a Haar 4x4 core and four Haar 2x2 sides, drawn in the order
+    16 real, 16 imaginary normals of the core, then 4 real, 4 imaginary of
+    each side."""
+    draws = np.random.default_rng(seed).normal(size=(trials, 64))
+    cores = _haar_unitary(draws[:, :32].reshape(trials, 2, 4, 4))
+    sides = _haar_unitary(draws[:, 32:].reshape(trials, 4, 2, 2, 2))
+    return cores, sides
 
 
 def check_correction_round_trip(trials: int = 100, seed: int = 20050517) -> Report:
     """Random equivalent pairs: corrections reconstruct the target."""
-    rng = np.random.default_rng(seed)
     worst_rec = 0.0
     worst_inv = 0.0
     locality_failures = 0
-    for _ in range(trials):
-        m = _haar_unitary(4, rng)
-        a, b, c, d = (_haar_unitary(2, rng) for _ in range(4))
+    for m, (a, b, c, d) in zip(*_round_trip_draws(trials, seed)):
         l = kron(a, b) @ m @ kron(c, d)
         im = local_invariants(m)
         il = local_invariants(l)

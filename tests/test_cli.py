@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from cavitygates.cli import main
 from cavitygates.gates import cnot_gate, u23_gate
 from cavitygates.linalg import phase_distance
-from cavitygates.serialize import matrix_from_json, matrix_to_json
+from cavitygates.serialize import matrix_from_json, matrix_to_json, report_to_json
+from cavitygates.verify import run_checks
 
 
 def run(capsys, *argv):
@@ -127,6 +128,8 @@ def test_verify_all_json(capsys):
     assert doc["status"] == "pass"
     assert len(doc["reports"]) == 12
     assert all(r["status"] == "pass" for r in doc["reports"])
+    reports = [report_to_json(report) for report in run_checks("all")]
+    assert out == json.dumps({"status": "pass", "reports": reports}) + "\n"
 
 
 def test_params_reports_eta_and_times(capsys):
@@ -153,6 +156,13 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synthesize", "--bogus-flag"])
     assert exc.value.code == 2
+
+
+def test_params_non_finite_rate_is_usage_error(capsys):
+    code, out, err = run(capsys, "params", "--g", "nan", "--delta", "1e7", "--kappa", "1e5", "--json")
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
 
 
 def test_degenerate_params_exit_code(capsys):

@@ -60,6 +60,14 @@ def test_cavity_params_validation():
         CavityParams(g=1, delta=1, kappa=0, nbar=-0.5)
 
 
+@pytest.mark.parametrize("field", ["g", "delta", "kappa", "nbar"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cavity_params_reject_non_finite_values(field, value):
+    values = {"g": 1e5, "delta": 1e7, "kappa": 1e5, "nbar": 0.0, field: value}
+    with pytest.raises(NonFiniteValue):
+        CavityParams(**values)
+
+
 def test_ladder_hamiltonian_is_twice_projector():
     h = build_hamiltonian(2, LADDER)
     assert_allclose(h, 2 * dicke_projector_g(), atol=1e-12)

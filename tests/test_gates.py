@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import IndexOutOfRange
+from cavitygates.errors import IndexOutOfRange, InvalidAxis
 from cavitygates.gates import (
     SIGMA_X,
     SIGMA_Y,
@@ -16,6 +17,7 @@ from cavitygates.gates import (
     u23_gate,
     zyz_angles,
 )
+from cavitygates.linalg import expm_hermitian
 
 from conftest import haar_unitary
 
@@ -29,8 +31,25 @@ def test_rotation_closed_forms():
 
 
 def test_rotation_rejects_unknown_axis():
-    with pytest.raises(ValueError):
-        rotation("w", 1.0)
+    for axis in ("w", "X", "+", ""):
+        with pytest.raises(InvalidAxis):
+            rotation(axis, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    axis=st.sampled_from("xyz"),
+    theta=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+def test_rotation_is_bit_identical_to_direct_exponential(axis, theta):
+    sigma = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
+    assert np.array_equal(rotation(axis, theta), expm_hermitian(sigma, theta / 2))
+
+
+def test_mutating_a_rotation_does_not_leak_into_the_next_call():
+    first = rotation("y", 0.4)
+    first[...] = 0.0
+    assert np.array_equal(rotation("y", 0.4), expm_hermitian(SIGMA_Y, 0.2))
 
 
 def test_cnot_truth_table():

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -44,6 +46,53 @@ def test_local_layer_per_qubit_order():
     layer = LocalLayer(((1, "z", 0.3), (1, "y", 1.1), (2, "x", -0.4)))
     expected = kron(rotation("y", 1.1) @ rotation("z", 0.3), rotation("x", -0.4))
     assert_allclose(local_layer_unitary(layer, 2), expected, atol=1e-12)
+
+
+def _eye_seeded_layer(layer, n_atoms):
+    """Reference: every qubit starts from its own identity, rotations
+    multiply into it, the factors are chained with np.kron."""
+    singles = [np.eye(2, dtype=complex) for _ in range(n_atoms)]
+    for qubit, axis, angle in layer.rotations:
+        singles[qubit - 1] = rotation(axis, angle) @ singles[qubit - 1]
+    return reduce(np.kron, singles)
+
+
+def test_local_layer_is_bit_identical_to_eye_seeded_product():
+    rng = np.random.default_rng(4)
+    layers = [
+        (1, LocalLayer(())),
+        (3, LocalLayer(())),
+        (3, LocalLayer(((2, "x", 0.3),))),  # qubits 1 and 3 untouched
+        (2, LocalLayer(((1, "z", 0.3), (1, "y", 1.1), (1, "z", -2.0)))),
+    ]
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        rotations = tuple(
+            (int(rng.integers(1, n + 1)), str(rng.choice(list("xyz"))), float(rng.uniform(-10, 10)))
+            for _ in range(int(rng.integers(0, 6)))
+        )
+        layers.append((n, LocalLayer(rotations)))
+    for n, layer in layers:
+        assert np.array_equal(local_layer_unitary(layer, n), _eye_seeded_layer(layer, n))
+
+
+def test_mutating_a_layer_does_not_leak_into_the_next_call():
+    for n, layer in ((1, LocalLayer(())), (1, LocalLayer(((1, "x", 0.7),))),
+                     (3, LocalLayer(((2, "y", -0.2),)))):
+        first = local_layer_unitary(layer, n)
+        first[...] = 0.0
+        assert np.array_equal(local_layer_unitary(layer, n), _eye_seeded_layer(layer, n))
+
+
+def test_local_layer_unitary_rejects_bad_axis():
+    with pytest.raises(InvalidAxis):
+        local_layer_unitary(LocalLayer(((1, "w", 1.0),)), 2)
+
+
+@pytest.mark.parametrize("n_atoms", [0, 4, 5, -1, 2.0, "2", None])
+def test_sequence_rejects_bad_register_size(n_atoms):
+    with pytest.raises(IndexOutOfRange):
+        GateSequence(n_atoms, (LocalLayer(((1, "x", 1.0),)),))
 
 
 def test_local_layer_rejects_bad_qubit():

@@ -16,10 +16,12 @@ from cavitygates.serialize import (
     invariants_to_json,
     matrix_from_json,
     matrix_to_json,
+    report_to_json,
     sequence_from_json,
     sequence_to_json,
 )
 from cavitygates.synthesis import cnot2_sequence, cnot3_sequence
+from cavitygates.verify import Metric, Report
 
 from conftest import haar_unitary
 
@@ -94,3 +96,15 @@ def test_cavity_params_json():
     params = CavityParams(g=1e5, delta=1e7, kappa=1e5, nbar=0.3, n_atoms=3)
     doc = json.loads(json.dumps(cavity_params_to_json(params)))
     assert doc == {"g": 1e5, "delta": 1e7, "kappa": 1e5, "nbar": 0.3, "n_atoms": 3}
+
+
+def test_report_json_layout():
+    report = Report("demo", (Metric("err", 2.5e-16, 1e-9), Metric("count", 3.0, 0.0)))
+    assert json.dumps(report_to_json(report)) == (
+        '{"name": "demo", "status": "fail", "metrics": ['
+        '{"name": "err", "value": 2.5e-16, "tolerance": 1e-09, "passed": true}, '
+        '{"name": "count", "value": 3.0, "tolerance": 0.0, "passed": false}]}'
+    )
+    with_artifacts = Report("demo", (Metric("err", 0.0, 1e-9),), {"composed": {"dim": 1}})
+    assert report_to_json(with_artifacts)["artifacts"] == {"composed": {"dim": 1}}
+    assert list(report_to_json(with_artifacts)) == ["name", "status", "metrics", "artifacts"]
