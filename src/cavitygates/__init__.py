@@ -10,6 +10,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidAxis,
     InvalidBranch,
+    InvalidForm,
     InvalidQuantumNumbers,
     InvalidQubits,
     NonFiniteValue,
@@ -70,7 +71,6 @@ from .invariants import (
     factor_local,
     is_local,
     local_invariants,
-    magic_basis,
     solve_local_corrections,
 )
 from .sequences import (

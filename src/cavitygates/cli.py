@@ -23,12 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize, verify
-from .errors import CavityGatesError
+from .errors import CavityGatesError, _check_finite
 from .evolution import (
     CavityParams,
     HamiltonianForm,
     VALIDITY_WARN_THRESHOLD,
-    _check_finite,
     coupling_eta,
     evolve,
     thermal_evolve,

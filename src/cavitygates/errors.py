@@ -1,8 +1,12 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and the input rules several modules share.
 
 All derive from ValueError so generic callers can catch broadly, while
 tests and the CLI can distinguish failure modes.
 """
+
+from math import inf, isfinite
+
+import numpy as np
 
 
 class CavityGatesError(ValueError):
@@ -49,9 +53,25 @@ class InvalidAxis(CavityGatesError):
     """A rotation axis is not one of x, y, z."""
 
 
+class InvalidForm(CavityGatesError):
+    """A Hamiltonian form is not a HamiltonianForm member."""
+
+
 class InvalidQubits(CavityGatesError):
     """Control/target qubit selection is invalid."""
 
 
 class NonFiniteValue(CavityGatesError):
     """A phase, angle or rate is NaN or infinite."""
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Raise NonFiniteValue if value is NaN or infinite."""
+    if not isfinite(value):
+        raise NonFiniteValue(f"{name} must be finite, got {value}")
+
+
+def _check_qubit(qubit: int, n_atoms: float = inf) -> None:
+    """Raise IndexOutOfRange unless qubit is an integer in 1..n_atoms."""
+    if not isinstance(qubit, (int, np.integer)) or not 1 <= qubit <= n_atoms:
+        raise IndexOutOfRange(f"qubit must be an integer in 1..{n_atoms}, got {qubit!r}")

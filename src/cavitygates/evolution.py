@@ -32,11 +32,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .errors import DegenerateParams, NonFiniteValue
+from .errors import DegenerateParams, InvalidForm, _check_finite
 from .gates import rotation
 from .linalg import expm_spectral, hermitian_spectrum, kron, read_only
 from .spin import _check_atoms, collective_op, s_squared
@@ -47,6 +47,12 @@ class HamiltonianForm(enum.Enum):
 
     LADDER = "ladder"    # S+ S-  (+ 2 nbar Sz)
     CASIMIR = "casimir"  # S^2 - Sz^2  (+ (2 nbar + 1) Sz)
+
+
+def _check_form(form: HamiltonianForm) -> None:
+    """Raise InvalidForm unless form is a HamiltonianForm member."""
+    if not isinstance(form, HamiltonianForm):
+        raise InvalidForm(f"unknown Hamiltonian form {form!r}")
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,10 @@ def validity_ratio(params: CavityParams) -> float:
 
 def _linear_coefficient(form: HamiltonianForm, nbar: float) -> float:
     """Coefficient c of the form-specific linear term c S_z:
-    2 nbar (ladder) or 2 nbar + 1 (Casimir)."""
-    if form is HamiltonianForm.LADDER:
-        return 2.0 * nbar
-    if form is HamiltonianForm.CASIMIR:
-        return 2.0 * nbar + 1.0
-    raise ValueError(f"unknown Hamiltonian form {form!r}")
+    2 nbar (ladder) or 2 nbar + 1 (Casimir); nbar must be finite."""
+    _check_form(form)
+    _check_finite("nbar", nbar)
+    return 2.0 * nbar if form is HamiltonianForm.LADDER else 2.0 * nbar + 1.0
 
 
 def build_hamiltonian(
@@ -120,16 +124,16 @@ def build_hamiltonian(
     """Dimensionless Hamiltonian H / (hbar eta) for n atoms.
 
     With include_linear=False the form-specific linear S_z term is
-    dropped: LADDER gives S+ S-, CASIMIR gives S^2 - S_z^2.
+    dropped: LADDER gives S+ S-, CASIMIR gives S^2 - S_z^2.  With
+    include_linear=True, nbar must be finite (NonFiniteValue).
     """
     n = _check_atoms(n)
+    _check_form(form)
     sz = collective_op("z", n)
     if form is HamiltonianForm.LADDER:
         h = collective_op("+", n) @ collective_op("-", n)
-    elif form is HamiltonianForm.CASIMIR:
-        h = s_squared(n) - sz @ sz
     else:
-        raise ValueError(f"unknown Hamiltonian form {form!r}")
+        h = s_squared(n) - sz @ sz
     if include_linear:
         h = h + _linear_coefficient(form, nbar) * sz
     return h
@@ -142,8 +146,10 @@ def compensation_rotation(
     accumulated over an evolution of phase phi = eta t.
 
     Returns ('z', -2 nbar phi) for the ladder form and
-    ('z', -(2 nbar + 1) phi) for the Casimir form.
+    ('z', -(2 nbar + 1) phi) for the Casimir form; nbar and phi must be
+    finite (NonFiniteValue).
     """
+    _check_finite("phi", phi)
     return ("z", -_linear_coefficient(form, nbar) * phi)
 
 
@@ -166,12 +172,6 @@ def _spectrum(n: int, form: HamiltonianForm) -> tuple[np.ndarray, ...]:
     return read_only(w), read_only(v), read_only(vh), read_only(sz)
 
 
-def _check_finite(name: str, value: float) -> None:
-    """Raise NonFiniteValue if value is NaN or infinite."""
-    if not isfinite(value):
-        raise NonFiniteValue(f"{name} must be finite, got {value}")
-
-
 def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
     """Ideal collective evolution exp(-i phi H_0), as a fresh array.
 
@@ -183,8 +183,7 @@ def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
         NonFiniteValue: if phi is NaN or infinite.
     """
     n = _check_atoms(n)
-    if not isinstance(form, HamiltonianForm):
-        raise ValueError(f"unknown Hamiltonian form {form!r}")
+    _check_form(form)
     _check_finite("phi", phi)
     w, v, vh, _ = _spectrum(n, form)
     return expm_spectral(w, v, vh, phi)
@@ -205,6 +204,5 @@ def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np
         NonFiniteValue: if phi or nbar is NaN or infinite.
     """
     u = evolve(n, phi, form)
-    _check_finite("nbar", nbar)
     sz = _spectrum(n, form)[3]
     return np.exp(-1j * phi * _linear_coefficient(form, nbar) * sz)[:, None] * u

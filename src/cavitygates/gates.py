@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidAxis
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidAxis, _check_finite, _check_qubit
 from .linalg import as_operator, expm_hermitian, expm_spectral, hermitian_spectrum, kron, read_only
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,11 +29,17 @@ _PAULI_SPECTRA = {
 }
 
 
+def _check_rotation(axis: str, theta: float) -> None:
+    """Raise InvalidAxis unless axis is x, y or z, NonFiniteValue unless theta is finite."""
+    if not isinstance(axis, str) or axis not in _PAULI_SPECTRA:
+        raise InvalidAxis(f"rotation axis must be one of x, y, z; got {axis!r}")
+    _check_finite("rotation angle", theta)
+
+
 def rotation(axis: str, theta: float) -> np.ndarray:
     """Single-qubit rotation exp(-i theta sigma_axis / 2), as a fresh array;
-    InvalidAxis unless axis is x, y or z."""
-    if axis not in _PAULI_SPECTRA:
-        raise InvalidAxis(f"rotation axis must be one of x, y, z; got {axis!r}")
+    raises as `_check_rotation` does."""
+    _check_rotation(axis, theta)
     return expm_spectral(*_PAULI_SPECTRA[axis], theta / 2)
 
 
@@ -47,8 +53,7 @@ def controlled_not(n_qubits: int, control: int, target: int) -> np.ndarray:
     if control == target:
         raise IndexOutOfRange("control and target must differ")
     for q in (control, target):
-        if not 1 <= q <= n_qubits:
-            raise IndexOutOfRange(f"qubit {q} outside register of size {n_qubits}")
+        _check_qubit(q, n_qubits)
     dim = 2 ** n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
@@ -80,15 +85,10 @@ def toffoli_gate() -> np.ndarray:
     return mat
 
 
-def ising_zz_gate(theta: float) -> np.ndarray:
-    """exp(-i theta sigma_z x sigma_z): diagonal two-qubit phase gate."""
-    return expm_hermitian(kron(SIGMA_Z, SIGMA_Z), theta)
-
-
 def u23_gate() -> np.ndarray:
     """The residual two-qubit gate exp(-i pi/3 sigma_z x sigma_z) left on
     atoms 2, 3 after spin-echo isolation of the three-atom evolution."""
-    return ising_zz_gate(np.pi / 3)
+    return expm_hermitian(kron(SIGMA_Z, SIGMA_Z), np.pi / 3)
 
 
 def zyz_angles(u) -> tuple[float, float, float]:

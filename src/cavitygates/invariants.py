@@ -11,6 +11,9 @@ In the magic basis every product of one-qubit unitaries becomes a real
 orthogonal matrix, which is what makes m's spectrum an equivalence-class
 fingerprint and lets the corrections be read off from the real
 eigenbases of m and l.
+
+No function here takes a tolerance: every check runs at the fixed
+`linalg.DEFAULT_TOL`, and the solver's own thresholds are fixed too.
 """
 
 from __future__ import annotations
@@ -27,15 +30,15 @@ from .errors import (
     NotFactorable,
     NotUnitary,
 )
-from .linalg import DEFAULT_TOL, as_operator, dagger, is_unitary
+from .linalg import DEFAULT_TOL, as_operator, dagger, is_unitary, read_only
 
-#: Magic-basis transformation: columns are the entangled basis states
+#: Magic-basis transformation, read-only: columns are the entangled basis states
 #: (|00>+|11>)/sqrt2, (i|01>+i|10>)/sqrt2, (|01>-|10>)/sqrt2,
 #: (i|00>-i|11>)/sqrt2.  Any other valid choice differs by a real
 #: orthogonal right factor and yields identical invariants; this one is
 #: pinned for reproducibility and the defining property (one-qubit gates
 #: become real orthogonal) is what the tests check.
-MAGIC_BASIS = np.array(
+MAGIC_BASIS = read_only(np.array(
     [
         [1, 0, 0, 1j],
         [0, 1j, 1, 0],
@@ -43,12 +46,10 @@ MAGIC_BASIS = np.array(
         [1, 0, 0, -1j],
     ],
     dtype=complex,
-) / np.sqrt(2)
+) / np.sqrt(2))
 
-
-def magic_basis() -> np.ndarray:
-    """The fixed magic-basis unitary Q (a fresh copy)."""
-    return MAGIC_BASIS.copy()
+#: Eigenvalue-matching (and O'-realness) threshold of solve_local_corrections.
+_MATCH_TOL = 1e-7
 
 
 class LocalInvariants(NamedTuple):
@@ -58,23 +59,23 @@ class LocalInvariants(NamedTuple):
     g2: complex
 
 
-def _check_two_qubit_unitary(u, tol: float) -> np.ndarray:
+def _check_two_qubit_unitary(u) -> np.ndarray:
     m = as_operator(u)
     if m.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 gate, got shape {m.shape}")
-    if not is_unitary(m, tol):
+    if not is_unitary(m):
         raise NotUnitary("gate must be unitary")
     return m
 
 
-def local_invariants(m_gate, tol: float = DEFAULT_TOL) -> LocalInvariants:
+def local_invariants(m_gate) -> LocalInvariants:
     """Local invariants (g1, g2) of a two-qubit unitary.
 
     The division by det M makes the pair insensitive to global phase
     and to determinants away from 1.  For unitary input g2 is real up
     to rounding.
     """
-    m = _check_two_qubit_unitary(m_gate, tol)
+    m = _check_two_qubit_unitary(m_gate)
     mb = dagger(MAGIC_BASIS) @ m @ MAGIC_BASIS
     det = np.linalg.det(mb)
     mm = mb.T @ mb
@@ -84,28 +85,28 @@ def local_invariants(m_gate, tol: float = DEFAULT_TOL) -> LocalInvariants:
     return LocalInvariants(complex(g1), complex(g2))
 
 
-def are_equivalent(a, b, tol: float = DEFAULT_TOL) -> bool:
+def are_equivalent(a, b) -> bool:
     """True iff a and b are related by one-qubit operations (and global
-    phase), i.e. iff both invariant components agree within tol."""
-    ia = local_invariants(a, tol)
-    ib = local_invariants(b, tol)
-    return bool(abs(ia.g1 - ib.g1) < tol and abs(ia.g2 - ib.g2) < tol)
+    phase), i.e. iff both invariant components agree within DEFAULT_TOL."""
+    ia = local_invariants(a)
+    ib = local_invariants(b)
+    return bool(abs(ia.g1 - ib.g1) < DEFAULT_TOL and abs(ia.g2 - ib.g2) < DEFAULT_TOL)
 
 
-def is_local(u, tol: float = DEFAULT_TOL) -> bool:
+def is_local(u) -> bool:
     """True iff u = A x B for some 2x2 unitaries.
 
     Tested via the singular values of the block rearrangement
     V[2a+a', 2b+b'] = u[2a+b, 2a'+b']: a tensor product rearranges to a
     rank-1 matrix, so exactly one singular value is nonzero.
     """
-    m = _check_two_qubit_unitary(u, tol)
+    m = _check_two_qubit_unitary(u)
     v = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     s = np.linalg.svd(v, compute_uv=False)
-    return bool(s[1] < max(tol, 4 * np.finfo(float).eps) * s[0])
+    return bool(s[1] < DEFAULT_TOL * s[0])
 
 
-def factor_local(u, tol: float = DEFAULT_TOL):
+def factor_local(u):
     """Split u = phase * (a x b) with a, b in SU(2).
 
     Raises:
@@ -126,7 +127,7 @@ def factor_local(u, tol: float = DEFAULT_TOL):
             a[(i0 >> 1) ^ i, (j0 >> 1) ^ j] = m[i0 ^ (i << 1), j0 ^ (j << 1)]
             b[(i0 & 1) ^ i, (j0 & 1) ^ j] = m[i0 ^ i, j0 ^ j]
     det_a, det_b = np.linalg.det(a), np.linalg.det(b)
-    if abs(det_a) < tol or abs(det_b) < tol:
+    if abs(det_a) < DEFAULT_TOL or abs(det_b) < DEFAULT_TOL:
         raise NotFactorable("gate does not factor into 2x2 blocks")
     a = a / np.sqrt(det_a)
     b = b / np.sqrt(det_b)
@@ -134,7 +135,7 @@ def factor_local(u, tol: float = DEFAULT_TOL):
     if phase.real < 0:
         a = -a
         phase = -phase
-    if np.abs(m - phase * np.kron(a, b)).max() > max(tol, 1e-10):
+    if np.abs(m - phase * np.kron(a, b)).max() > DEFAULT_TOL:
         raise NotFactorable("gate does not factor into 2x2 blocks")
     return complex(phase), a, b
 
@@ -172,11 +173,11 @@ def _diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _match_spectra(em: np.ndarray, el: np.ndarray, tol: float):
+def _match_spectra(em: np.ndarray, el: np.ndarray):
     """Greedy nearest-eigenvalue pairing of el against em (sorted order).
 
     Returns the permutation of el matching em, or None if some pair is
-    further apart than tol (spectra differ: not equivalent).  Greedy
+    further apart than _MATCH_TOL (spectra differ: not equivalent).  Greedy
     matching is immune to the branch cut that a phase sort would hit at
     eigenvalues near -1.
     """
@@ -186,14 +187,14 @@ def _match_spectra(em: np.ndarray, el: np.ndarray, tol: float):
         dist, j = min(
             (abs(el[j] - lam), j) for j in range(len(el)) if not used[j]
         )
-        if dist > tol:
+        if dist > _MATCH_TOL:
             return None
         used[j] = True
         perm.append(j)
     return perm
 
 
-def solve_local_corrections(m_gate, l_gate, tol: float = DEFAULT_TOL) -> LocalCorrectionPair:
+def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     """Find one-qubit corrections (O, O') with phase * O' M O = L.
 
     Both gates are first normalized to unit determinant (the removed
@@ -212,9 +213,9 @@ def solve_local_corrections(m_gate, l_gate, tol: float = DEFAULT_TOL) -> LocalCo
         NotEquivalent: if the invariants (hence spectra) differ beyond
             tolerance, so no correction pair exists.
     """
-    m_in = _check_two_qubit_unitary(m_gate, tol)
-    l_in = _check_two_qubit_unitary(l_gate, tol)
-    if not are_equivalent(m_in, l_in, tol):
+    m_in = _check_two_qubit_unitary(m_gate)
+    l_in = _check_two_qubit_unitary(l_gate)
+    if not are_equivalent(m_in, l_in):
         raise NotEquivalent("gates have different local invariants")
 
     q = MAGIC_BASIS
@@ -229,12 +230,11 @@ def solve_local_corrections(m_gate, l_gate, tol: float = DEFAULT_TOL) -> LocalCo
         pm = pm.copy()
         pm[:, 0] = -pm[:, 0]
 
-    match_tol = max(tol, 1e-7)
     for branch in (1.0 + 0j, 1j):
         lb = dagger(q) @ (l_in / (det_root_l * branch)) @ q
         ll = lb.T @ lb
         el, pl = _diagonalize_symmetric_unitary(ll)
-        perm = _match_spectra(em, el, match_tol)
+        perm = _match_spectra(em, el)
         if perm is None:
             continue
         pl = pl[:, perm]
@@ -243,7 +243,7 @@ def solve_local_corrections(m_gate, l_gate, tol: float = DEFAULT_TOL) -> LocalCo
             pl[:, 0] = -pl[:, 0]
         o_b = pm @ pl.T
         o_prime_b = lb @ o_b.T @ dagger(mb)
-        if np.abs(o_prime_b.imag).max() > match_tol:
+        if np.abs(o_prime_b.imag).max() > _MATCH_TOL:
             continue  # wrong sign branch: O' came out non-real
         o = q @ o_b @ dagger(q)
         o_prime = q @ o_prime_b.real @ dagger(q)

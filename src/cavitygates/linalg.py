@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 
+#: Tolerance of the Hermiticity, unitarity, local-equivalence and factorization checks.
 DEFAULT_TOL = 1e-9
 
 
@@ -53,26 +54,26 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    """True if ||a - a^dagger||_F < tol."""
+def is_hermitian(a) -> bool:
+    """True if ||a - a^dagger||_F < DEFAULT_TOL."""
     m = as_operator(a)
-    return bool(np.linalg.norm(m - m.conj().T) < tol)
+    return bool(np.linalg.norm(m - m.conj().T) < DEFAULT_TOL)
 
 
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    """True if ||a^dagger a - 1||_F < tol."""
+def is_unitary(a) -> bool:
+    """True if ||a^dagger a - 1||_F < DEFAULT_TOL."""
     m = as_operator(a)
-    return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) < tol)
+    return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) < DEFAULT_TOL)
 
 
-def hermitian_spectrum(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+def hermitian_spectrum(h) -> tuple[np.ndarray, ...]:
     """Eigenvalues w, unitary eigenvectors v and v^dagger of Hermitian h = v diag(w) v^dagger.
 
     Raises:
         NotHermitian: if h fails the Hermiticity check.
     """
     m = as_operator(h)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitian("generator of a unitary evolution must be Hermitian")
     w, v = np.linalg.eigh(m)
     return w, v, v.conj().T
@@ -83,7 +84,7 @@ def expm_spectral(w: np.ndarray, v: np.ndarray, vh: np.ndarray, scale: float = 1
     return (v * np.exp(-1j * scale * w)) @ vh
 
 
-def expm_hermitian(h, scale: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
+def expm_hermitian(h, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * h) for Hermitian h, via eigendecomposition.
 
     Diagonalizing keeps the result unitary to machine precision at these
@@ -92,7 +93,7 @@ def expm_hermitian(h, scale: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarra
     Raises:
         NotHermitian: if h fails the Hermiticity check.
     """
-    return expm_spectral(*hermitian_spectrum(h, tol), scale)
+    return expm_spectral(*hermitian_spectrum(h), scale)
 
 
 def phase_distance(u, v) -> float:

@@ -15,19 +15,25 @@ A sequence step is one of
 
 Steps are listed in temporal order: compose() multiplies right-to-left,
 so the first step acts first.
+
+Each step checks its own fields when constructed: phi, angles and theta
+finite, form a HamiltonianForm, axes x/y/z, qubits integers >= 1.  A
+GateSequence checks its register: n_atoms in 1..3, qubits <= n_atoms,
+known step types.  compose() adds only the nbar check; the builders it
+calls check their raw arguments as they do for any caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum, isfinite
+from math import fsum
 from typing import Union
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidAxis, NonFiniteValue
-from .evolution import HamiltonianForm, _check_finite, evolve
-from .gates import _PAULI_SPECTRA, rotation
+from .errors import _check_finite, _check_qubit
+from .evolution import HamiltonianForm, _check_form, evolve
+from .gates import _check_rotation, rotation
 from .linalg import kron, read_only
 from .spin import _check_atoms
 
@@ -37,16 +43,28 @@ class CollectiveEvolution:
     phi: float
     form: HamiltonianForm = HamiltonianForm.CASIMIR
 
+    def __post_init__(self):
+        _check_finite("phi", self.phi)
+        _check_form(self.form)
+
 
 @dataclass(frozen=True)
 class LocalLayer:
     #: (qubit, axis, angle) triples, 1-based qubits, application order.
     rotations: tuple[tuple[int, str, float], ...]
 
+    def __post_init__(self):
+        for qubit, axis, angle in self.rotations:
+            _check_qubit(qubit)
+            _check_rotation(axis, angle)
+
 
 @dataclass(frozen=True)
 class GlobalPhase:
     theta: float
+
+    def __post_init__(self):
+        _check_finite("theta", self.theta)
 
 
 SequenceStep = Union[CollectiveEvolution, LocalLayer, GlobalPhase]
@@ -62,35 +80,21 @@ class GateSequence:
         _check_atoms(self.n_atoms)
         for step in self.steps:
             if isinstance(step, LocalLayer):
-                for qubit, axis, angle in step.rotations:
-                    if not 1 <= qubit <= self.n_atoms:
-                        raise IndexOutOfRange(
-                            f"rotation on qubit {qubit} outside register of "
-                            f"size {self.n_atoms}"
-                        )
-                    if axis not in _PAULI_SPECTRA:
-                        raise InvalidAxis(
-                            f"rotation axis must be one of x, y, z; got {axis!r}"
-                        )
-                    if not isfinite(angle):
-                        raise NonFiniteValue(
-                            f"rotation angle must be finite, got {angle}"
-                        )
-            elif isinstance(step, CollectiveEvolution) and not isfinite(step.phi):
-                raise NonFiniteValue(f"phi must be finite, got {step.phi}")
-            elif isinstance(step, GlobalPhase) and not isfinite(step.theta):
-                raise NonFiniteValue(f"theta must be finite, got {step.theta}")
+                for qubit, _, _ in step.rotations:
+                    _check_qubit(qubit, self.n_atoms)
+            elif not isinstance(step, (CollectiveEvolution, GlobalPhase)):
+                raise TypeError(f"unknown sequence step {step!r}")
 
 
 _IDENTITY_2 = read_only(np.eye(2, dtype=complex))
 
 
 def local_layer_unitary(layer: LocalLayer, n_atoms: int) -> np.ndarray:
-    """Dense unitary of a rotation layer on an n-atom register, as a fresh array."""
-    singles = [_IDENTITY_2] * n_atoms
+    """Dense unitary of a rotation layer on an n-atom register, as a fresh
+    array; IndexOutOfRange unless n_atoms is in 1..3 and holds every qubit."""
+    singles = [_IDENTITY_2] * _check_atoms(n_atoms)
     for qubit, axis, angle in layer.rotations:
-        if not 1 <= qubit <= n_atoms:
-            raise IndexOutOfRange(f"qubit {qubit} outside register of size {n_atoms}")
+        _check_qubit(qubit, n_atoms)
         single = rotation(axis, angle)
         # later rotations act after (left of) earlier ones; the first is kept as is
         prior = singles[qubit - 1]
@@ -99,13 +103,14 @@ def local_layer_unitary(layer: LocalLayer, n_atoms: int) -> np.ndarray:
 
 
 def step_unitary(step: SequenceStep, n_atoms: int) -> np.ndarray:
-    """Dense unitary of one step; collective steps are compensated."""
+    """Dense unitary of one step, collective steps compensated; IndexOutOfRange
+    unless n_atoms is in 1..3 and holds the step's qubits."""
     if isinstance(step, CollectiveEvolution):
         return evolve(n_atoms, step.phi, step.form)
     if isinstance(step, LocalLayer):
         return local_layer_unitary(step, n_atoms)
     if isinstance(step, GlobalPhase):
-        return np.exp(1j * step.theta) * np.eye(2 ** n_atoms, dtype=complex)
+        return np.exp(1j * step.theta) * np.eye(2 ** _check_atoms(n_atoms), dtype=complex)
     raise TypeError(f"unknown sequence step {step!r}")
 
 

@@ -6,8 +6,8 @@ Sequence JSON:    {"label": .., "n_atoms": .., "steps": [...]} where each
                   step is {"kind": "evolve", "phi": .., "form": ..},
                   {"kind": "local", "rotations": [[qubit, axis, angle]..]}
                   or {"kind": "phase", "theta": ..}.  All angles and
-                  phases are stored in units of pi and round-trip
-                  losslessly through float64.
+                  phases are stored in units of pi: the JSON round-trips
+                  exactly, the conversion to radians to within one ulp.
 Cavity JSON:      {"g": .., "delta": .., "kappa": .., "nbar": ..,
                   "n_atoms": ..} (rates in rad/s).
 Report JSON:      {"name": .., "status": "pass" | "fail", "metrics":
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .evolution import CavityParams, HamiltonianForm
 from .invariants import LocalInvariants
+from .linalg import as_operator
 from .sequences import (
     CollectiveEvolution,
     GateSequence,
@@ -36,9 +37,7 @@ PI = float(np.pi)
 # -- matrices -----------------------------------------------------------
 
 def matrix_to_json(u) -> dict:
-    m = np.asarray(u, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    m = as_operator(u)
     return {
         "dim": int(m.shape[0]),
         "re": m.real.tolist(),
@@ -92,23 +91,16 @@ def _step_to_json(step: SequenceStep) -> dict:
                 [qubit, axis, angle / PI] for qubit, axis, angle in step.rotations
             ],
         }
-    if isinstance(step, GlobalPhase):
-        return {"kind": "phase", "theta": step.theta / PI}
-    raise TypeError(f"unknown sequence step {step!r}")
+    return {"kind": "phase", "theta": step.theta / PI}  # GateSequence admits no other step
 
 
 def _step_from_json(data: dict) -> SequenceStep:
     kind = data["kind"]
     if kind == "evolve":
-        return CollectiveEvolution(
-            phi=float(data["phi"]) * PI, form=HamiltonianForm(data["form"])
-        )
+        return CollectiveEvolution(float(data["phi"]) * PI, HamiltonianForm(data["form"]))
     if kind == "local":
         return LocalLayer(
-            tuple(
-                (int(qubit), str(axis), float(angle) * PI)
-                for qubit, axis, angle in data["rotations"]
-            )
+            tuple((qubit, axis, float(angle) * PI) for qubit, axis, angle in data["rotations"])
         )
     if kind == "phase":
         return GlobalPhase(theta=float(data["theta"]) * PI)
@@ -125,7 +117,7 @@ def sequence_to_json(seq: GateSequence) -> dict:
 
 def sequence_from_json(data: dict) -> GateSequence:
     return GateSequence(
-        n_atoms=int(data["n_atoms"]),
+        n_atoms=data["n_atoms"],
         steps=tuple(_step_from_json(s) for s in data["steps"]),
         label=str(data.get("label", "")),
     )

@@ -19,7 +19,7 @@ from math import factorial, isclose, sqrt
 import numpy as np
 
 from . import gates
-from .errors import IndexOutOfRange, InvalidQuantumNumbers
+from .errors import IndexOutOfRange, InvalidQuantumNumbers, _check_qubit
 from .linalg import kron, read_only
 
 _SIGMA = {
@@ -58,8 +58,7 @@ def pauli(axis: str, k: int, n: int) -> np.ndarray:
     """
     n = _check_atoms(n)
     axis = _check_axis(axis)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise IndexOutOfRange(f"atom index {k} outside register of size {n}")
+    _check_qubit(k, n)
     return _pauli(axis, int(k), n)
 
 

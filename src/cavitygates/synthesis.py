@@ -110,10 +110,10 @@ def cnot2_sequence() -> GateSequence:
     )
 
 
-def _echo_steps(idle_atom: int, phi: float):
-    """One spin-echo block: evolve, NOT-pulse the idle atom, repeat."""
+def _echo_steps(idle_atom: int, branch: int, k: int = 0):
+    """Spin-echo block at phi = (2 pi / 3)(3 k + branch): evolve, NOT the idle atom, repeat."""
     pulse = LocalLayer(((idle_atom, "x", pi),))
-    evo = CollectiveEvolution(phi, HamiltonianForm.CASIMIR)
+    evo = CollectiveEvolution(2.0 * pi / 3.0 * (3 * k + branch), HamiltonianForm.CASIMIR)
     return (evo, pulse, evo, pulse)
 
 
@@ -130,29 +130,28 @@ def spin_echo_u23(branch: int, k: int = 0) -> GateSequence:
         raise InvalidBranch(f"branch must be +1 or -1, got {branch}")
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k}")
-    phi = 2.0 * pi / 3.0 * (3 * k + branch)
     return GateSequence(
         n_atoms=3,
-        steps=_echo_steps(1, phi),
+        steps=_echo_steps(1, branch, k),
         label=f"spin_echo_u23(branch={branch:+d}, k={k})",
     )
 
 
-def extract_factor(u, tol: float = DEFAULT_TOL) -> np.ndarray:
+def extract_factor(u) -> np.ndarray:
     """The 4x4 factor V of an 8x8 unitary of the form 1 x V.
 
     Raises:
         NotFactorable: if the off-diagonal 4x4 blocks are not zero or
-            the two diagonal blocks disagree beyond tolerance.
+            the two diagonal blocks disagree beyond DEFAULT_TOL.
     """
     m = as_operator(u)
     if m.shape != (8, 8):
         raise NotFactorable(f"expected an 8x8 unitary, got shape {m.shape}")
     upper, lower = m[:4, 4:], m[4:, :4]
-    if np.linalg.norm(upper) > tol or np.linalg.norm(lower) > tol:
+    if np.linalg.norm(upper) > DEFAULT_TOL or np.linalg.norm(lower) > DEFAULT_TOL:
         raise NotFactorable("off-diagonal blocks are nonzero: atom 1 is entangled")
     top, bottom = m[:4, :4], m[4:, 4:]
-    if np.linalg.norm(top - bottom) > tol:
+    if np.linalg.norm(top - bottom) > DEFAULT_TOL:
         raise NotFactorable("diagonal blocks differ: not of the form 1 x V")
     return top.copy()
 
@@ -196,24 +195,13 @@ def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     """
     idle = _other_atom(control, target)
     pre, post = (_relabel(layer, (control, target)) for layer in _cnot3_corrections())
-    echo = _echo_steps(idle, 2.0 * pi / 3.0)
+    echo = _echo_steps(idle, +1)
     middle = LocalLayer(((target, "y", CNOT3_MIDDLE_ANGLE),))
     return GateSequence(
         n_atoms=3,
         steps=(pre,) + echo + (middle,) + echo + (post, GlobalPhase(CNOT3_GLOBAL_PHASE)),
         label=f"cnot3(control={control}, target={target})",
     )
-
-
-def _hadamard_part(qubit: int):
-    """Hadamard as rotations plus its phase: H = e^{i pi/2} R_y(pi/2) R_z(pi)."""
-    return LocalLayer(((qubit, "z", pi), (qubit, "y", pi / 2))), pi / 2
-
-
-def _t_part(qubit: int, adjoint: bool = False):
-    """T (or T^dagger) as a z rotation plus phase: T = e^{i pi/8} R_z(pi/4)."""
-    sign = -1.0 if adjoint else 1.0
-    return LocalLayer(((qubit, "z", sign * pi / 4),)), sign * pi / 8
 
 
 def toffoli_sequence(simplified: bool = False) -> GateSequence:
@@ -242,33 +230,23 @@ def toffoli_sequence(simplified: bool = False) -> GateSequence:
         )
         return GateSequence(n_atoms=3, steps=steps, label="toffoli-simplified")
 
-    steps: tuple = ()
-    phase = 0.0
-
-    def one_qubit(part):
-        nonlocal steps, phase
-        layer, theta = part
-        steps = steps + (layer,)
-        phase += theta
-
-    def cnot(control: int, target: int):
-        nonlocal steps
-        steps = steps + cnot3_sequence(control, target).steps
-
-    one_qubit(_hadamard_part(3))
-    cnot(2, 3)
-    one_qubit(_t_part(3, adjoint=True))
-    cnot(1, 3)
-    one_qubit(_t_part(3))
-    cnot(2, 3)
-    one_qubit(_t_part(3, adjoint=True))
-    cnot(1, 3)
-    # T on atoms 2 and 3 commute; merge into one layer
-    steps = steps + (LocalLayer(((2, "z", pi / 4), (3, "z", pi / 4))),)
-    phase += pi / 4
-    cnot(1, 2)
-    one_qubit(_hadamard_part(3))
-    steps = steps + (LocalLayer(((1, "z", pi / 4), (2, "z", -pi / 4))),)
-    cnot(1, 2)
-    steps = steps + (GlobalPhase(phase),)
+    # H = e^{i pi/2} R_y(pi/2) R_z(pi), T = e^{i pi/8} R_z(pi/4): phases summed in gate order
+    hadamard = LocalLayer(((3, "z", pi), (3, "y", pi / 2)))
+    t_dag = LocalLayer(((3, "z", -pi / 4),))
+    steps = (
+        hadamard,
+        *cnot3_sequence(2, 3).steps,
+        t_dag,
+        *cnot3_sequence(1, 3).steps,
+        LocalLayer(((3, "z", pi / 4),)),
+        *cnot3_sequence(2, 3).steps,
+        t_dag,
+        *cnot3_sequence(1, 3).steps,
+        LocalLayer(((2, "z", pi / 4), (3, "z", pi / 4))),  # T on atoms 2 and 3
+        *cnot3_sequence(1, 2).steps,
+        hadamard,
+        LocalLayer(((1, "z", pi / 4), (2, "z", -pi / 4))),  # T on 1, T^dagger on 2
+        *cnot3_sequence(1, 2).steps,
+        GlobalPhase(pi / 2 - pi / 8 + pi / 8 - pi / 8 + pi / 4 + pi / 2),
+    )
     return GateSequence(n_atoms=3, steps=steps, label="toffoli")

@@ -275,12 +275,17 @@ def _round_trip_draws(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return cores, sides
 
 
-def check_correction_round_trip(trials: int = 100, seed: int = 20050517) -> Report:
+#: Random equivalent pairs drawn by `check_correction_round_trip`, and their seed.
+ROUND_TRIPS = 100
+ROUND_TRIP_SEED = 20050517
+
+
+def check_correction_round_trip() -> Report:
     """Random equivalent pairs: corrections reconstruct the target."""
     worst_rec = 0.0
     worst_inv = 0.0
     locality_failures = 0
-    for m, (a, b, c, d) in zip(*_round_trip_draws(trials, seed)):
+    for m, (a, b, c, d) in zip(*_round_trip_draws(ROUND_TRIPS, ROUND_TRIP_SEED)):
         l = kron(a, b) @ m @ kron(c, d)
         im = local_invariants(m)
         il = local_invariants(l)
@@ -293,7 +298,7 @@ def check_correction_round_trip(trials: int = 100, seed: int = 20050517) -> Repo
     return Report(
         "one-qubit correction round trip",
         (
-            Metric(f"worst reconstruction error over {trials} draws", float(worst_rec), 1e-8),
+            Metric(f"worst reconstruction error over {ROUND_TRIPS} draws", float(worst_rec), 1e-8),
             Metric("worst invariant drift under local gates", float(worst_inv), 1e-9),
             Metric("non-factorable corrections", float(locality_failures), 0.0),
         ),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cavitygates
-from cavitygates.errors import DegenerateParams, IndexOutOfRange, NonFiniteValue
+from cavitygates.errors import DegenerateParams, IndexOutOfRange, InvalidForm, NonFiniteValue
 from cavitygates.evolution import (
     CavityParams,
     HamiltonianForm,
@@ -198,6 +198,37 @@ def test_evolve_rejects_bad_form_and_atom_count():
         thermal_evolve(2, 0.5, "ladder", 1.0)
     with pytest.raises(IndexOutOfRange):
         thermal_evolve(4, 0.5, LADDER, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evolve(2, 0.5, "ladder"),
+        lambda: thermal_evolve(2, 0.5, "casimir", 1.0),
+        lambda: build_hamiltonian(2, "ladder"),
+        lambda: compensation_rotation("casimir", 1.0, 0.5),
+        lambda: compensation_layer(2, None, 1.0, 0.5),
+    ],
+)
+def test_unknown_form_raises_invalid_form(call):
+    with pytest.raises(InvalidForm):
+        call()
+
+
+@pytest.mark.parametrize("nbar, phi", [(np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, -np.inf)])
+@pytest.mark.parametrize("form", list(HamiltonianForm))
+def test_compensation_rejects_non_finite_input(form, nbar, phi):
+    with pytest.raises(NonFiniteValue):
+        compensation_rotation(form, nbar, phi)
+    with pytest.raises(NonFiniteValue):
+        compensation_layer(2, form, nbar, phi)
+
+
+@pytest.mark.parametrize("nbar", [np.nan, np.inf])
+@pytest.mark.parametrize("form", list(HamiltonianForm))
+def test_build_hamiltonian_rejects_non_finite_nbar(form, nbar):
+    with pytest.raises(NonFiniteValue):
+        build_hamiltonian(2, form, nbar=nbar, include_linear=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

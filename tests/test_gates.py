@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import IndexOutOfRange, InvalidAxis
+from cavitygates.errors import IndexOutOfRange, InvalidAxis, NonFiniteValue
 from cavitygates.gates import (
     SIGMA_X,
     SIGMA_Y,
@@ -34,6 +34,12 @@ def test_rotation_rejects_unknown_axis():
     for axis in ("w", "X", "+", ""):
         with pytest.raises(InvalidAxis):
             rotation(axis, 1.0)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_rotation_rejects_non_finite_angle(theta):
+    with pytest.raises(NonFiniteValue):
+        rotation("x", theta)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,6 @@ from cavitygates.invariants import (
     factor_local,
     is_local,
     local_invariants,
-    magic_basis,
     solve_local_corrections,
 )
 from cavitygates.linalg import dagger, is_unitary, kron, phase_distance
@@ -20,13 +19,13 @@ from conftest import haar_unitary
 
 
 def test_magic_basis_is_unitary():
-    q = magic_basis()
+    q = MAGIC_BASIS
     assert_allclose(dagger(q) @ q, np.eye(4), atol=1e-15)
     assert abs(abs(np.linalg.det(q)) - 1) < 1e-12
 
 
 def test_magic_basis_maps_locals_to_real_orthogonal(rng):
-    q = magic_basis()
+    q = MAGIC_BASIS
     for _ in range(30):
         a = haar_unitary(2, rng)
         b = haar_unitary(2, rng)
@@ -37,10 +36,10 @@ def test_magic_basis_maps_locals_to_real_orthogonal(rng):
         assert np.abs(w @ w.T - np.eye(4)).max() < 1e-12
 
 
-def test_magic_basis_returns_copy():
-    q = magic_basis()
-    q[0, 0] = 99
-    assert MAGIC_BASIS[0, 0] != 99
+def test_magic_basis_is_read_only():
+    assert not MAGIC_BASIS.flags.writeable  # checked first: a failed write would leak
+    with pytest.raises(ValueError):
+        MAGIC_BASIS[0, 0] = 99
 
 
 def test_invariants_of_reference_gates():

@@ -127,7 +127,7 @@ def test_expm_output_is_unitary(rng):
     for _ in range(20):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u = expm_hermitian(z + z.conj().T, rng.uniform(-3, 3))
-        assert is_unitary(u, 1e-9)
+        assert is_unitary(u)
 
 
 def test_phase_distance_trivial_cases(rng):

@@ -1,10 +1,17 @@
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import IndexOutOfRange, InvalidAxis, NonFiniteValue
+from cavitygates.errors import (
+    CavityGatesError,
+    IndexOutOfRange,
+    InvalidAxis,
+    InvalidForm,
+    NonFiniteValue,
+)
 from cavitygates.evolution import HamiltonianForm, evolve
 from cavitygates.gates import rotation
 from cavitygates.linalg import kron, phase_distance
@@ -16,10 +23,15 @@ from cavitygates.sequences import (
     collective_time,
     compose,
     local_layer_unitary,
+    step_unitary,
 )
+
+from conftest import ANGLES, sequences
 
 LADDER = HamiltonianForm.LADDER
 CASIMIR = HamiltonianForm.CASIMIR
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 def test_compose_empty_is_identity():
@@ -122,6 +134,67 @@ def test_collective_step_rejects_non_finite_phi(phi):
 def test_global_phase_rejects_non_finite_theta(theta):
     with pytest.raises(NonFiniteValue):
         GateSequence(2, (GlobalPhase(theta),))
+
+
+@pytest.mark.parametrize(
+    "render, step, n_atoms",
+    [
+        (local_layer_unitary, LocalLayer(((5, "x", 1.0),)), 5),
+        (local_layer_unitary, LocalLayer(((1, "x", 1.0),)), 4),
+        (step_unitary, GlobalPhase(0.3), 6),
+        (step_unitary, GlobalPhase(0.3), 0),
+        (step_unitary, LocalLayer(((1, "y", 0.2),)), 4),
+    ],
+)
+def test_direct_step_unitary_rejects_bad_register(render, step, n_atoms):
+    with pytest.raises(IndexOutOfRange):
+        render(step, n_atoms)
+
+
+def test_sequence_rejects_unknown_step_type():
+    with pytest.raises(TypeError):
+        GateSequence(2, (np.eye(4),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences())
+def test_random_valid_sequence_composes_to_a_unitary(seq):
+    u = compose(seq)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(2 ** seq.n_atoms)) < 1e-12
+
+
+@st.composite
+def invalid_steps(draw):
+    """(constructor of a step with one invalid field, the error it must raise)."""
+    field = draw(st.sampled_from(["qubit", "axis", "angle", "phi", "form", "theta"]))
+    prefix = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from("xyz"), ANGLES), max_size=2))
+    if field == "qubit":
+        qubit = draw(st.one_of(st.integers(max_value=0), st.floats(), st.text(max_size=2), st.none()))
+        return partial(LocalLayer, (*prefix, (qubit, "x", 0.3))), IndexOutOfRange
+    if field == "axis":
+        not_an_axis = st.text().filter(lambda a: a not in ("x", "y", "z"))
+        axis = draw(st.one_of(not_an_axis, st.integers(), st.none()))
+        return partial(LocalLayer, (*prefix, (1, axis, 0.3))), InvalidAxis
+    if field == "angle":
+        return partial(LocalLayer, (*prefix, (1, "z", draw(NON_FINITE)))), NonFiniteValue
+    if field == "phi":
+        form = draw(st.sampled_from(list(HamiltonianForm)))
+        return partial(CollectiveEvolution, draw(NON_FINITE), form), NonFiniteValue
+    if field == "form":
+        form = draw(st.one_of(st.sampled_from(["ladder", "casimir"]), st.integers(), st.none()))
+        return partial(CollectiveEvolution, draw(ANGLES), form), InvalidForm
+    return partial(GlobalPhase, draw(NON_FINITE)), NonFiniteValue
+
+
+@settings(max_examples=300, deadline=None)
+@given(invalid_steps())
+@example((partial(CollectiveEvolution, 0.5, "ladder"), InvalidForm))
+@example((partial(LocalLayer, ((1.5, "x", 0.3),)), IndexOutOfRange))
+def test_invalid_step_field_raises_typed_error_at_construction(case):
+    make, error = case
+    with pytest.raises(error) as raised:
+        make()
+    assert isinstance(raised.value, CavityGatesError)
 
 
 def test_global_phase_step():

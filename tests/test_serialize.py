@@ -1,15 +1,17 @@
 import json
+from math import ulp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import DimensionMismatch, InvalidAxis
+from cavitygates.errors import DimensionMismatch, IndexOutOfRange, InvalidAxis
 from cavitygates.evolution import CavityParams
 from cavitygates.invariants import local_invariants
 from cavitygates.gates import cnot_gate
 from cavitygates.linalg import phase_distance
-from cavitygates.sequences import compose
+from cavitygates.sequences import CollectiveEvolution, LocalLayer, compose
 from cavitygates.serialize import (
     cavity_params_to_json,
     format_matrix,
@@ -23,7 +25,7 @@ from cavitygates.serialize import (
 from cavitygates.synthesis import cnot2_sequence, cnot3_sequence
 from cavitygates.verify import Metric, Report
 
-from conftest import haar_unitary
+from conftest import haar_unitary, sequences
 
 
 def test_matrix_json_round_trip(rng):
@@ -79,6 +81,50 @@ def test_sequence_from_json_rejects_unknown_axis():
     doc["steps"][2]["rotations"][0][1] = "w"
     with pytest.raises(InvalidAxis):
         sequence_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(n_atoms=2.5),
+        lambda doc: doc["steps"][2]["rotations"][0].__setitem__(0, 1.5),
+    ],
+)
+def test_sequence_from_json_does_not_truncate_indices(edit):
+    doc = sequence_to_json(cnot2_sequence())
+    edit(doc)
+    with pytest.raises(IndexOutOfRange):
+        sequence_from_json(doc)
+
+
+def _split_angles(seq):
+    """(every field of seq but its angles, phases and phis; those values)."""
+    fields, angles = [seq.n_atoms, seq.label], []
+    for step in seq.steps:
+        if isinstance(step, LocalLayer):
+            fields.append(tuple((qubit, axis) for qubit, axis, _ in step.rotations))
+            angles += [angle for _, _, angle in step.rotations]
+        elif isinstance(step, CollectiveEvolution):
+            fields.append(step.form)
+            angles.append(step.phi)
+        else:
+            fields.append(type(step))
+            angles.append(step.theta)
+    return fields, angles
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences())
+def test_sequence_json_round_trip_property(seq):
+    doc = json.loads(json.dumps(sequence_to_json(seq)))
+    back = sequence_from_json(doc)
+    assert sequence_to_json(back) == doc
+    # storing angles in units of pi costs at most one ulp per angle (a few
+    # subnormal steps for angles below 1e-307)
+    fields, angles = _split_angles(seq)
+    back_fields, back_angles = _split_angles(back)
+    assert back_fields == fields
+    assert all(abs(b - a) <= max(ulp(a), 4 * ulp(0.0)) for a, b in zip(angles, back_angles))
 
 
 def test_sequence_json_schema():

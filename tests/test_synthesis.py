@@ -204,7 +204,7 @@ def test_every_sequence_composes_to_a_unitary():
         toffoli_sequence(False),
         toffoli_sequence(True),
     ):
-        assert is_unitary(compose(seq), 1e-9)
+        assert is_unitary(compose(seq))
 
 
 def test_sequences_thermally_robust():
