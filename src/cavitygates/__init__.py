@@ -11,7 +11,6 @@ from .errors import (
     InvalidAxis,
     InvalidBranch,
     InvalidForm,
-    InvalidQuantumNumbers,
     InvalidQubits,
     NonFiniteValue,
     NotEquivalent,
@@ -44,7 +43,6 @@ from .gates import (
     zyz_angles,
 )
 from .spin import (
-    cg_coefficient,
     collective_op,
     coupled_basis_transform_3,
     dicke_projector_g,

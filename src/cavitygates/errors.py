@@ -34,11 +34,7 @@ class NotFactorable(CavityGatesError):
 
 
 class DegenerateParams(CavityGatesError):
-    """Physical parameters make a derived quantity ill-defined."""
-
-
-class InvalidQuantumNumbers(CavityGatesError):
-    """Angular-momentum quantum numbers violate their constraints."""
+    """Physical parameters are negative or make a derived quantity ill-defined."""
 
 
 class IndexOutOfRange(CavityGatesError):
@@ -50,7 +46,7 @@ class InvalidBranch(CavityGatesError):
 
 
 class InvalidAxis(CavityGatesError):
-    """A rotation axis is not one of x, y, z."""
+    """An axis is not one of x, y, z (rotations) or x, y, z, +, - (spin operators)."""
 
 
 class InvalidForm(CavityGatesError):

@@ -48,6 +48,10 @@ class HamiltonianForm(enum.Enum):
     LADDER = "ladder"    # S+ S-  (+ 2 nbar Sz)
     CASIMIR = "casimir"  # S^2 - Sz^2  (+ (2 nbar + 1) Sz)
 
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidForm(f"unknown Hamiltonian form {value!r}")
+
 
 def _check_form(form: HamiltonianForm) -> None:
     """Raise InvalidForm unless form is a HamiltonianForm member."""
@@ -61,7 +65,8 @@ class CavityParams:
 
     delta is the atom-cavity detuning omega_0 - omega; its sign sets the
     sign of eta.  nbar is the mean thermal photon number of the mode.
-    g, delta, kappa and nbar must be finite (NonFiniteValue otherwise).
+    g, delta, kappa and nbar must be finite (NonFiniteValue otherwise);
+    g, kappa and nbar must be >= 0 (DegenerateParams otherwise).
     """
 
     g: float
@@ -73,12 +78,9 @@ class CavityParams:
     def __post_init__(self):
         for name in ("g", "delta", "kappa", "nbar"):
             _check_finite(name, getattr(self, name))
-        if self.g < 0:
-            raise ValueError("dipole coupling g must be >= 0")
-        if self.kappa < 0:
-            raise ValueError("cavity loss rate kappa must be >= 0")
-        if self.nbar < 0:
-            raise ValueError("mean photon number nbar must be >= 0")
+        for name in ("g", "kappa", "nbar"):
+            if getattr(self, name) < 0:
+                raise DegenerateParams(f"{name} must be >= 0, got {getattr(self, name)}")
         _check_atoms(self.n_atoms)
 
 

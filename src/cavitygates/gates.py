@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidAxis, _check_finite, _check_qubit
+from .errors import (
+    CavityGatesError, DimensionMismatch, IndexOutOfRange, InvalidAxis, NotUnitary,
+    _check_finite, _check_qubit,
+)
 from .linalg import as_operator, expm_hermitian, expm_spectral, hermitian_spectrum, kron, read_only
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,7 +104,7 @@ def zyz_angles(u) -> tuple[float, float, float]:
     if m.shape != (2, 2):
         raise DimensionMismatch("zyz_angles expects a 2x2 matrix")
     if abs(np.linalg.det(m) - 1.0) > 1e-9:
-        raise ValueError("zyz_angles expects det = 1 (SU(2)) input")
+        raise NotUnitary("zyz_angles expects det = 1 (SU(2)) input")
     b = 2.0 * np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
     if abs(m[0, 0]) < 1e-12:
         a = np.angle(m[1, 0]) - np.angle(-m[0, 1])
@@ -119,7 +122,7 @@ def zyz_angles(u) -> tuple[float, float, float]:
         a += 2.0 * np.pi  # R_z(a + 2 pi) = -R_z(a) flips the cover sign
         rec = rotation("z", a) @ rotation("y", b) @ rotation("z", c)
     if np.abs(rec - m).max() > 1e-9:
-        raise ValueError("zyz decomposition failed to reconstruct input")
+        raise CavityGatesError("zyz decomposition failed to reconstruct input")
     return float(a), float(b), float(c)
 
 
@@ -136,6 +139,6 @@ def named_gate(name: str) -> np.ndarray:
     try:
         return NAMED_GATES[name.lower()]()
     except KeyError:
-        raise ValueError(
+        raise CavityGatesError(
             f"unknown gate {name!r}; known: {', '.join(sorted(NAMED_GATES))}"
         ) from None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import CavityGatesError, DimensionMismatch
 from .evolution import CavityParams, HamiltonianForm
 from .invariants import LocalInvariants
 from .linalg import as_operator
@@ -34,6 +34,13 @@ from .sequences import (
 PI = float(np.pi)
 
 
+def _field(data, key: str):
+    """data[key]; CavityGatesError unless data is a JSON object holding key."""
+    if not isinstance(data, dict) or key not in data:
+        raise CavityGatesError(f"expected a JSON object with a {key!r} field")
+    return data[key]
+
+
 # -- matrices -----------------------------------------------------------
 
 def matrix_to_json(u) -> dict:
@@ -46,9 +53,9 @@ def matrix_to_json(u) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    dim = int(data["dim"])
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    dim = int(_field(data, "dim"))
+    re = np.asarray(_field(data, "re"), dtype=float)
+    im = np.asarray(_field(data, "im"), dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DimensionMismatch(
             f"re/im must be {dim}x{dim} arrays, got {re.shape} and {im.shape}"
@@ -95,16 +102,17 @@ def _step_to_json(step: SequenceStep) -> dict:
 
 
 def _step_from_json(data: dict) -> SequenceStep:
-    kind = data["kind"]
+    kind = _field(data, "kind")
     if kind == "evolve":
-        return CollectiveEvolution(float(data["phi"]) * PI, HamiltonianForm(data["form"]))
+        phi, form = _field(data, "phi"), _field(data, "form")
+        return CollectiveEvolution(float(phi) * PI, HamiltonianForm(form))
     if kind == "local":
-        return LocalLayer(
-            tuple((qubit, axis, float(angle) * PI) for qubit, axis, angle in data["rotations"])
-        )
+        return LocalLayer(tuple(
+            (qubit, axis, float(angle) * PI) for qubit, axis, angle in _field(data, "rotations")
+        ))
     if kind == "phase":
-        return GlobalPhase(theta=float(data["theta"]) * PI)
-    raise ValueError(f"unknown step kind {kind!r}")
+        return GlobalPhase(theta=float(_field(data, "theta")) * PI)
+    raise CavityGatesError(f"unknown step kind {kind!r}")
 
 
 def sequence_to_json(seq: GateSequence) -> dict:
@@ -117,8 +125,8 @@ def sequence_to_json(seq: GateSequence) -> dict:
 
 def sequence_from_json(data: dict) -> GateSequence:
     return GateSequence(
-        n_atoms=data["n_atoms"],
-        steps=tuple(_step_from_json(s) for s in data["steps"]),
+        n_atoms=_field(data, "n_atoms"),
+        steps=tuple(_step_from_json(s) for s in _field(data, "steps")),
         label=str(data.get("label", "")),
     )
 

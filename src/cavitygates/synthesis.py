@@ -63,16 +63,11 @@ def _euler_triples(qubit: int, u2: np.ndarray) -> tuple[tuple[int, str, float], 
 def _layer_from_local(u4, qubits: tuple[int, int]) -> LocalLayer:
     """Rotation layer realizing a tensor-product 4x4 unitary exactly.
 
-    The first tensor slot maps to qubits[0].  Only phases of +-1 can be
-    absorbed into the rotation layers (SU(2) covers them); anything else
-    means the input was not a plain product of special unitaries.
+    The first tensor slot maps to qubits[0].  `factor_local` leaves a phase
+    of 1 for every u4 in SU(2) x SU(2); any other phase is rejected.
     """
     phase, a, b = factor_local(u4)
-    if abs(phase - 1.0) < 1e-9:
-        pass
-    elif abs(phase + 1.0) < 1e-9:
-        a = -a
-    else:
+    if abs(phase - 1.0) >= 1e-9:
         raise NotFactorable(f"cannot absorb phase {phase} into rotation layers")
     return LocalLayer(_euler_triples(qubits[0], a) + _euler_triples(qubits[1], b))
 
@@ -82,12 +77,10 @@ def _correction_layers(core, phase_step: float, qubits: tuple[int, int]):
     e^{i phase_step} * post @ core @ pre = CNOT, exactly."""
     want = np.exp(-1j * phase_step) * cnot_gate()
     pair = solve_local_corrections(core, want)
-    o, o_prime = pair.o, pair.o_prime
-    if abs(pair.phase + 1.0) < 1e-9:
-        o = -o
-    elif abs(pair.phase - 1.0) > 1e-9:
+    sign = 1.0 if pair.phase.real > 0 else -1.0
+    if abs(pair.phase - sign) > 1e-9:
         raise NotFactorable(f"unexpected residual phase {pair.phase}")
-    return _layer_from_local(o, qubits), _layer_from_local(o_prime, qubits)
+    return _layer_from_local(sign * pair.o, qubits), _layer_from_local(pair.o_prime, qubits)
 
 
 def cnot2_sequence() -> GateSequence:
@@ -129,7 +122,7 @@ def spin_echo_u23(branch: int, k: int = 0) -> GateSequence:
     if branch not in (-1, 1):
         raise InvalidBranch(f"branch must be +1 or -1, got {branch}")
     if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
+        raise InvalidBranch(f"k must be a non-negative integer, got {k}")
     return GateSequence(
         n_atoms=3,
         steps=_echo_steps(1, branch, k),

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import gates, spin
+from .errors import CavityGatesError
 from .serialize import matrix_to_json
 from .evolution import HamiltonianForm, build_hamiltonian, compensation_layer, evolve, thermal_evolve
 from .invariants import (
@@ -361,7 +362,7 @@ def run_checks(target: str) -> list[Report]:
     try:
         checks = VERIFY_TARGETS[target]
     except KeyError:
-        raise ValueError(
+        raise CavityGatesError(
             f"unknown verify target {target!r}; known: {', '.join(sorted(VERIFY_TARGETS))}"
         ) from None
     return [check() for check in checks]

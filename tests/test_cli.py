@@ -48,6 +48,18 @@ def test_invariants_unknown_gate_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "doc", [{}, [], {"dim": 2, "re": [[1, 0], [0, 1]]}], ids=["empty", "list", "no-im"]
+)
+def test_invariants_malformed_matrix_file_is_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_evolve_json_matches_library(capsys):
     code, out, _ = run(capsys, "evolve", "--atoms", "2", "--phi", "0.0", "--json")
     assert code == 0

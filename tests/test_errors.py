@@ -1,0 +1,66 @@
+"""Every library failure is a typed CavityGatesError, never a bare ValueError,
+KeyError or TypeError."""
+
+import numpy as np
+import pytest
+
+from cavitygates.errors import (
+    CavityGatesError,
+    DegenerateParams,
+    InvalidAxis,
+    InvalidBranch,
+    InvalidForm,
+    NotUnitary,
+)
+from cavitygates.evolution import CavityParams
+from cavitygates.gates import named_gate, zyz_angles
+from cavitygates.serialize import matrix_from_json, sequence_from_json
+from cavitygates.spin import collective_op
+from cavitygates.synthesis import spin_echo_u23
+from cavitygates.verify import run_checks
+
+ZERO_2 = [[0, 0], [0, 0]]
+
+
+def _steps(*steps):
+    return {"n_atoms": 2, "steps": list(steps)}
+
+
+CASES = {
+    "negative g": (lambda: CavityParams(g=-1.0, delta=1.0, kappa=1.0), DegenerateParams),
+    "negative kappa": (lambda: CavityParams(g=1.0, delta=1.0, kappa=-1.0), DegenerateParams),
+    "negative nbar": (
+        lambda: CavityParams(g=1.0, delta=1.0, kappa=1.0, nbar=-0.5),
+        DegenerateParams,
+    ),
+    "spin axis": (lambda: collective_op("w", 2), InvalidAxis),
+    "zyz det != 1": (lambda: zyz_angles(2 * np.eye(2)), NotUnitary),
+    # det = 1 but not unitary: no z-y-z product reconstructs it
+    "zyz reconstruction": (lambda: zyz_angles(np.diag([2.0, 0.5])), CavityGatesError),
+    "named gate": (lambda: named_gate("nosuchgate"), CavityGatesError),
+    "echo k < 0": (lambda: spin_echo_u23(+1, k=-1), InvalidBranch),
+    "step kind": (lambda: sequence_from_json(_steps({"kind": "teleport"})), CavityGatesError),
+    "form string": (
+        lambda: sequence_from_json(_steps({"kind": "evolve", "phi": 0.25, "form": "bogus"})),
+        InvalidForm,
+    ),
+    "verify target": (lambda: run_checks("nosuchtarget"), CavityGatesError),
+    "matrix {}": (lambda: matrix_from_json({}), CavityGatesError),
+    "matrix []": (lambda: matrix_from_json([]), CavityGatesError),
+    "matrix without im": (lambda: matrix_from_json({"dim": 2, "re": ZERO_2}), CavityGatesError),
+    "sequence []": (lambda: sequence_from_json([]), CavityGatesError),
+    "sequence without steps": (lambda: sequence_from_json({"n_atoms": 2}), CavityGatesError),
+    "step not an object": (lambda: sequence_from_json(_steps(["phase", 0.5])), CavityGatesError),
+    "step without phi": (
+        lambda: sequence_from_json(_steps({"kind": "evolve", "form": "ladder"})),
+        CavityGatesError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bad_input_raises_a_typed_error(case):
+    call, expected = CASES[case]
+    assert issubclass(expected, CavityGatesError)
+    with pytest.raises(expected):
+        call()

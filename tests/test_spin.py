@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import IndexOutOfRange, InvalidQuantumNumbers
+from cavitygates.errors import IndexOutOfRange
 from cavitygates.linalg import expm_hermitian, kron
 from cavitygates.spin import (
-    cg_coefficient,
     collective_op,
     coupled_basis_transform_3,
     dicke_projector_g,
@@ -119,40 +118,6 @@ def test_projector_generates_printed_evolution():
     assert np.abs(expm_hermitian(2 * dicke_projector_g(), phi) - printed).max() < 1e-12
 
 
-def test_cg_textbook_values():
-    assert cg_coefficient(0.5, 0.5, 0.5, 0.5, 1, 1) == pytest.approx(1.0)
-    assert cg_coefficient(0.5, 0.5, 0.5, -0.5, 0, 0) == pytest.approx(1 / np.sqrt(2))
-    assert cg_coefficient(0.5, -0.5, 0.5, 0.5, 0, 0) == pytest.approx(-1 / np.sqrt(2))
-    assert cg_coefficient(0.5, 0.5, 1, 0, 1.5, 0.5) == pytest.approx(np.sqrt(2 / 3))
-    assert cg_coefficient(0.5, 0.5, 0.5, 0.5, 1, 0) == 0.0  # m mismatch
-
-
-@pytest.mark.parametrize(
-    "j1,m1,j2,m2",
-    [(0.5, 0.5, 0.5, -0.5), (0.5, -0.5, 1, 0), (1, 1, 0.5, -0.5), (1.5, 0.5, 1, -1)],
-)
-def test_cg_completeness(j1, m1, j2, m2):
-    m = m1 + m2
-    jmin = max(abs(j1 - j2), abs(m))
-    total = 0.0
-    j = jmin
-    while j <= j1 + j2 + 1e-9:
-        total += cg_coefficient(j1, m1, j2, m2, j, m) ** 2
-        j += 1
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cg_invalid_quantum_numbers():
-    with pytest.raises(InvalidQuantumNumbers):
-        cg_coefficient(0.5, 0.5, 0.5, 0.5, 3, 1)  # triangle violation
-    with pytest.raises(InvalidQuantumNumbers):
-        cg_coefficient(0.5, 1.5, 0.5, -0.5, 1, 1)  # |m| > j
-    with pytest.raises(InvalidQuantumNumbers):
-        cg_coefficient(0.3, 0.3, 0.5, 0.5, 1, 0.8)  # not half-integers
-    with pytest.raises(InvalidQuantumNumbers):
-        cg_coefficient(1, 0.5, 0.5, 0.5, 1.5, 1)  # m does not step from -j
-
-
 def test_coupled_transform_unitary_and_stretched_state():
     w = coupled_basis_transform_3()
     assert np.linalg.norm(w.conj().T @ w - np.eye(8)) < 1e-12
@@ -170,12 +135,23 @@ def test_coupled_transform_block_diagonalizes_s_squared():
 
 
 def test_coupled_transform_singlet_row():
-    w = coupled_basis_transform_3()
-    # row 6 is atom-1-up x singlet: (|001> - |010>)/sqrt2
-    expected = np.zeros(8)
-    expected[1] = 1 / np.sqrt(2)
-    expected[2] = -1 / np.sqrt(2)
-    assert_allclose(w[6], expected, atol=1e-12)
+    # rows: atom 1 up x triplet m23 = +1, 0, -1, atom 1 down x the same,
+    # then atom 1 up x singlet, e.g. row 6 = (|001> - |010>)/sqrt2, and
+    # atom 1 down x singlet; columns are |b1 b2 b3>
+    r = 1 / np.sqrt(2)
+    expected = np.array(
+        [
+            [1, 0, 0, 0, 0, 0, 0, 0],
+            [0, r, r, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, r, r, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1],
+            [0, r, -r, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, r, -r, 0],
+        ]
+    )
+    assert_allclose(coupled_basis_transform_3(), expected, atol=1e-12)
 
 
 def test_s_squared_in_coupled_basis_values():

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from cavitygates.errors import InvalidBranch, InvalidQubits, NotFactorable
 from cavitygates.evolution import HamiltonianForm
 from cavitygates.gates import cnot_gate, controlled_not, toffoli_gate, u23_gate
-from cavitygates.invariants import local_invariants
+from cavitygates.invariants import LocalCorrectionPair, local_invariants
 from cavitygates.linalg import is_unitary, kron, phase_distance
 from cavitygates.sequences import (
     CollectiveEvolution,
@@ -32,6 +32,27 @@ def test_cnot2_composes_to_exact_cnot():
     assert phase_distance(u, cnot_gate()) < 1e-9
     # with the global-phase step included the equality is entrywise
     assert np.abs(u - cnot_gate()).max() < 1e-9
+
+
+def _solver_returning(transform):
+    solve = synthesis.solve_local_corrections
+    return lambda core, want: transform(solve(core, want))
+
+
+def test_correction_sign_goes_into_the_pre_layer(monkeypatch):
+    # (-O, O', -phase) solves the same equation as (O, O', phase); the
+    # sign of a -1 residual phase must end up in the realized layers
+    flipped = _solver_returning(lambda p: LocalCorrectionPair(-p.o, p.o_prime, -p.phase))
+    monkeypatch.setattr(synthesis, "solve_local_corrections", flipped)
+    assert np.abs(compose(cnot2_sequence()) - cnot_gate()).max() < 1e-9
+
+
+def test_correction_rejects_a_residual_phase_other_than_sign(monkeypatch):
+    # (i O, O', -i phase) is a valid pair too, but SU(2) layers cannot carry i
+    turned = _solver_returning(lambda p: LocalCorrectionPair(1j * p.o, p.o_prime, -1j * p.phase))
+    monkeypatch.setattr(synthesis, "solve_local_corrections", turned)
+    with pytest.raises(NotFactorable):
+        cnot2_sequence()
 
 
 def test_cnot2_structure():
