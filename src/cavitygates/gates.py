@@ -57,13 +57,10 @@ def controlled_not(n_qubits: int, control: int, target: int) -> np.ndarray:
         raise IndexOutOfRange("control and target must differ")
     for q in (control, target):
         _check_qubit(q, n_qubits)
-    dim = 2 ** n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        cbit = (col >> (n_qubits - control)) & 1
-        row = col ^ (cbit << (n_qubits - target))
-        mat[row, col] = 1.0
-    return mat
+    # basis state k goes to k with the target bit flipped if the control bit is set
+    k = np.arange(2 ** n_qubits)
+    flipped = k ^ (((k >> (n_qubits - control)) & 1) << (n_qubits - target))
+    return np.eye(2 ** n_qubits, dtype=complex)[flipped]
 
 
 def cnot_gate() -> np.ndarray:
@@ -72,20 +69,12 @@ def cnot_gate() -> np.ndarray:
 
 
 def swap_gate() -> np.ndarray:
-    return np.array([[1, 0, 0, 0],
-                     [0, 0, 1, 0],
-                     [0, 1, 0, 0],
-                     [0, 0, 0, 1]], dtype=complex)
+    return np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def toffoli_gate() -> np.ndarray:
     """Three-qubit Toffoli, controls = qubits 1 and 2, target = qubit 3."""
-    dim = 8
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        row = col ^ 1 if (col >> 1) & 1 and (col >> 2) & 1 else col
-        mat[row, col] = 1.0
-    return mat
+    return np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
 
 
 def u23_gate() -> np.ndarray:

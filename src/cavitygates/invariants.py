@@ -12,7 +12,9 @@ orthogonal matrix, which is what makes m's spectrum an equivalence-class
 fingerprint and lets the corrections be read off from the real
 eigenbases of m and l.
 
-No function here takes a tolerance: every check runs at the fixed
+`local_invariants`, `is_local` and `solve_local_corrections` also take
+stacks of gates, shape (..., 4, 4), elementwise.  No function here
+takes a tolerance: every check runs at the fixed
 `linalg.DEFAULT_TOL`, and the solver's own thresholds are fixed too.
 """
 
@@ -30,7 +32,7 @@ from .errors import (
     NotFactorable,
     NotUnitary,
 )
-from .linalg import DEFAULT_TOL, as_operator, dagger, is_unitary, read_only
+from .linalg import DEFAULT_TOL, _as_stack, _unstack, as_operator, dagger, is_unitary, read_only
 
 #: Magic-basis transformation, read-only: columns are the entangled basis states
 #: (|00>+|11>)/sqrt2, (i|01>+i|10>)/sqrt2, (|01>-|10>)/sqrt2,
@@ -47,42 +49,47 @@ MAGIC_BASIS = read_only(np.array(
     ],
     dtype=complex,
 ) / np.sqrt(2))
+_MAGIC_DAGGER = read_only(dagger(MAGIC_BASIS))
 
 #: Eigenvalue-matching (and O'-realness) threshold of solve_local_corrections.
 _MATCH_TOL = 1e-7
 
 
 class LocalInvariants(NamedTuple):
-    """The two-component equivalence-class fingerprint of a 4x4 gate."""
+    """The two-component equivalence-class fingerprint of a 4x4 gate (arrays for a stack)."""
 
     g1: complex
     g2: complex
 
 
 def _check_two_qubit_unitary(u) -> np.ndarray:
-    m = as_operator(u)
-    if m.shape != (4, 4):
-        raise DimensionMismatch(f"expected a 4x4 gate, got shape {m.shape}")
-    if not is_unitary(m):
+    m = _as_stack(u)
+    if m.shape[-2:] != (4, 4):
+        raise DimensionMismatch(f"expected 4x4 gates, got shape {m.shape}")
+    if not np.asarray(is_unitary(m)).all():
         raise NotUnitary("gate must be unitary")
     return m
 
 
 def local_invariants(m_gate) -> LocalInvariants:
-    """Local invariants (g1, g2) of a two-qubit unitary.
+    """Local invariants (g1, g2) of a two-qubit unitary or of each gate of a stack.
 
     The division by det M makes the pair insensitive to global phase
     and to determinants away from 1.  For unitary input g2 is real up
     to rounding.
     """
     m = _check_two_qubit_unitary(m_gate)
-    mb = dagger(MAGIC_BASIS) @ m @ MAGIC_BASIS
+    mb = _MAGIC_DAGGER @ m @ MAGIC_BASIS
     det = np.linalg.det(mb)
-    mm = mb.T @ mb
-    tr = np.trace(mm)
-    g1 = tr ** 2 / (16.0 * det)
-    g2 = (tr ** 2 - np.trace(mm @ mm)) / (4.0 * det)
-    return LocalInvariants(complex(g1), complex(g2))
+    mm = mb.swapaxes(-1, -2) @ mb
+    tr = mm.trace(axis1=-2, axis2=-1)
+    # Tr^2 m in real arithmetic: numpy's vectorized complex product rounds
+    # unlike its scalar one, and a gate must give the same bits in a stack
+    re, im = tr.real, tr.imag
+    tr2 = (re * re - im * im) + 1j * (re * im + im * re)
+    g1 = tr2 / (16.0 * det)
+    g2 = (tr2 - (mm @ mm).trace(axis1=-2, axis2=-1)) / (4.0 * det)
+    return LocalInvariants(_unstack(g1, complex), _unstack(g2, complex))
 
 
 def are_equivalent(a, b) -> bool:
@@ -93,17 +100,17 @@ def are_equivalent(a, b) -> bool:
     return bool(abs(ia.g1 - ib.g1) < DEFAULT_TOL and abs(ia.g2 - ib.g2) < DEFAULT_TOL)
 
 
-def is_local(u) -> bool:
-    """True iff u = A x B for some 2x2 unitaries.
+def is_local(u):
+    """True iff u = A x B for some 2x2 unitaries; a bool array for a stack.
 
     Tested via the singular values of the block rearrangement
     V[2a+a', 2b+b'] = u[2a+b, 2a'+b']: a tensor product rearranges to a
     rank-1 matrix, so exactly one singular value is nonzero.
     """
     m = _check_two_qubit_unitary(u)
-    v = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    v = m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(m.shape)
     s = np.linalg.svd(v, compute_uv=False)
-    return bool(s[1] < DEFAULT_TOL * s[0])
+    return _unstack(s[..., 1] < DEFAULT_TOL * s[..., 0], bool)
 
 
 def factor_local(u):
@@ -115,17 +122,11 @@ def factor_local(u):
     m = as_operator(u)
     if m.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 gate, got shape {m.shape}")
-    # Anchor on the largest entry, then read off both factors from the
-    # rows/columns through it.
-    i0, j0 = max(
-        ((i, j) for i in range(4) for j in range(4)), key=lambda t: abs(m[t])
-    )
-    a = np.zeros((2, 2), dtype=complex)
-    b = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            a[(i0 >> 1) ^ i, (j0 >> 1) ^ j] = m[i0 ^ (i << 1), j0 ^ (j << 1)]
-            b[(i0 & 1) ^ i, (j0 & 1) ^ j] = m[i0 ^ i, j0 ^ j]
+    # Anchor on the (first) largest entry, then read off both factors from
+    # the rows/columns through it; hypot ranks as abs() of one entry does.
+    i0, j0 = divmod(int(np.hypot(m.real, m.imag).argmax()), 4)
+    t = m.reshape(2, 2, 2, 2)  # t[a, b, a', b'] = m[2a + b, 2a' + b']
+    a, b = t[:, i0 & 1, :, j0 & 1], t[i0 >> 1, :, j0 >> 1, :]
     det_a, det_b = np.linalg.det(a), np.linalg.det(b)
     if abs(det_a) < DEFAULT_TOL or abs(det_b) < DEFAULT_TOL:
         raise NotFactorable("gate does not factor into 2x2 blocks")
@@ -145,7 +146,7 @@ class LocalCorrectionPair:
     """One-qubit sandwich (o, o_prime, phase) with
     phase * o_prime @ M @ o = L for the equivalent gates it was solved
     from.  Both o and o_prime factor as tensor products of single-qubit
-    unitaries; |phase| = 1."""
+    unitaries; |phase| = 1.  Each field is stacked like the gates."""
 
     o: np.ndarray
     o_prime: np.ndarray
@@ -153,49 +154,54 @@ class LocalCorrectionPair:
 
 
 _DIAG_WEIGHTS = (np.pi, 10.0, 0.40528473456)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
 def _diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real orthogonal P and unit-modulus eigenvalues d with m = P diag(d) P^T.
+    """Real orthogonal P and unit-modulus d with m = P diag(d) P^T, per matrix of a (k, 4, 4) m.
 
     For symmetric unitary m the real and imaginary parts commute, so a
     weighted sum Re(m)/w + w Im(m) shares its eigenbasis with m; the
     weight breaks accidental degeneracies of the combination and is
-    retried if the basis fails to diagonalize m.
+    retried on the matrices whose basis failed to diagonalize them.
     """
+    p, d = np.empty(m.shape), np.empty_like(m)
+    todo = slice(None)  # every matrix, then those the previous weight failed on
     for weight in _DIAG_WEIGHTS:
-        _, p = np.linalg.eigh(m.real / weight + weight * m.imag)
-        d = p.T @ m @ p
-        if np.abs(d - np.diag(np.diag(d))).max() < 1e-10:
-            return np.diag(d).copy(), p
+        mt = m[todo]
+        pt = np.linalg.eigh(mt.real / weight + weight * mt.imag)[1]
+        p[todo], d[todo] = pt, pt.swapaxes(-1, -2) @ mt @ pt
+        todo = np.abs(d[:, _OFF_DIAGONAL]).max(axis=-1) >= 1e-10
+        if not todo.any():
+            return np.diagonal(d, axis1=-2, axis2=-1), p
     raise CavityGatesError(
         "failed to diagonalize a symmetric unitary in a real orthogonal basis"
     )
 
 
-def _match_spectra(em: np.ndarray, el: np.ndarray):
-    """Greedy nearest-eigenvalue pairing of el against em (sorted order).
+def _match_spectra(em: np.ndarray, el: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy nearest-eigenvalue pairing of el against em (sorted order), per row.
 
-    Returns the permutation of el matching em, or None if some pair is
-    further apart than _MATCH_TOL (spectra differ: not equivalent).  Greedy
-    matching is immune to the branch cut that a phase sort would hit at
-    eigenvalues near -1.
+    Returns the permutations of el matching em (ties to the lowest unused
+    index), and whether each row's pairs lie within _MATCH_TOL (else the
+    spectra differ: not equivalent).  Greedy matching is immune to the
+    branch cut that a phase sort would hit at eigenvalues near -1.
     """
-    used = [False] * len(el)
-    perm = []
-    for lam in em:
-        dist, j = min(
-            (abs(el[j] - lam), j) for j in range(len(el)) if not used[j]
-        )
-        if dist > _MATCH_TOL:
-            return None
-        used[j] = True
-        perm.append(j)
-    return perm
+    diff = el[:, None, :] - em[:, :, None]
+    dist = np.hypot(diff.real, diff.imag)  # rounds as abs() of one complex does
+    rows = np.arange(len(em))
+    perm = np.empty(em.shape, dtype=int)
+    nearest = np.empty(em.shape)
+    for i in range(em.shape[-1]):
+        perm[:, i] = j = dist[:, i].argmin(axis=-1)
+        nearest[:, i] = dist[rows, i, j]
+        dist[rows, :, j] = np.inf
+    return perm, (nearest <= _MATCH_TOL).all(axis=-1)
 
 
 def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
-    """Find one-qubit corrections (O, O') with phase * O' M O = L.
+    """Find one-qubit corrections (O, O') with phase * O' M O = L, for one
+    pair of gates or elementwise for two stacks of the same shape.
 
     Both gates are first normalized to unit determinant (the removed
     scalars are folded into the returned phase).  The symmetric unitary
@@ -207,46 +213,47 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
 
     The unit-determinant normalization fixes each gate only up to a
     fourth root of unity, which flips the sign of its m matrix; both
-    sign branches are tried.
+    sign branches are tried, and each pair takes the first that works.
 
     Raises:
-        NotEquivalent: if the invariants (hence spectra) differ beyond
-            tolerance, so no correction pair exists.
+        NotEquivalent: if the invariants (hence spectra) of some pair
+            differ beyond tolerance, so no correction pair exists.
     """
-    m_in = _check_two_qubit_unitary(m_gate)
-    l_in = _check_two_qubit_unitary(l_gate)
-    if not are_equivalent(m_in, l_in):
+    m_in, l_in = _as_stack(m_gate), _as_stack(l_gate)
+    if m_in.shape != l_in.shape:
+        raise DimensionMismatch(f"shapes differ: {m_in.shape} vs {l_in.shape}")
+    shape, both = m_in.shape, np.stack([m_in, l_in])  # each stage runs once for M and L
+    g1, g2 = local_invariants(both)
+    if not ((abs(g1[0] - g1[1]) < DEFAULT_TOL) & (abs(g2[0] - g2[1]) < DEFAULT_TOL)).all():
         raise NotEquivalent("gates have different local invariants")
+    m_in, l_in = both = both.reshape(2, -1, 4, 4)
+    det_root_m, det_root_l = np.linalg.det(both) ** 0.25
 
-    q = MAGIC_BASIS
-    det_root_m = np.linalg.det(m_in) ** 0.25
-    det_root_l = np.linalg.det(l_in) ** 0.25
-    mb = dagger(q) @ (m_in / det_root_m) @ q
-    mm = mb.T @ mb
-    em, pm = _diagonalize_symmetric_unitary(mm)
-    order = np.argsort(np.angle(em))
-    em, pm = em[order], pm[:, order]
-    if np.linalg.det(pm) < 0:
-        pm = pm.copy()
-        pm[:, 0] = -pm[:, 0]
-
+    o, o_prime, phase = np.empty_like(m_in), np.empty_like(m_in), np.empty(len(m_in), complex)
+    todo = np.arange(len(m_in))
     for branch in (1.0 + 0j, 1j):
-        lb = dagger(q) @ (l_in / (det_root_l * branch)) @ q
-        ll = lb.T @ lb
-        el, pl = _diagonalize_symmetric_unitary(ll)
-        perm = _match_spectra(em, el)
-        if perm is None:
-            continue
-        pl = pl[:, perm]
-        if np.linalg.det(pl) < 0:
-            pl = pl.copy()
-            pl[:, 0] = -pl[:, 0]
-        o_b = pm @ pl.T
-        o_prime_b = lb @ o_b.T @ dagger(mb)
-        if np.abs(o_prime_b.imag).max() > _MATCH_TOL:
-            continue  # wrong sign branch: O' came out non-real
-        o = q @ o_b @ dagger(q)
-        o_prime = q @ o_prime_b.real @ dagger(q)
-        phase = complex(det_root_l * branch / det_root_m)
-        return LocalCorrectionPair(o=o, o_prime=o_prime, phase=phase)
+        n = len(todo)
+        roots = np.concatenate([det_root_m[todo], det_root_l[todo] * branch])
+        # [mb; lb]: the unit-determinant gates of the pending pairs in the magic basis
+        unit_det = np.concatenate([m_in[todo], l_in[todo]]) / roots[:, None, None]
+        gb = _MAGIC_DAGGER @ unit_det @ MAGIC_BASIS
+        e, p = _diagonalize_symmetric_unitary(gb.swapaxes(-1, -2) @ gb)
+        order = np.angle(e[:n]).argsort(axis=-1)
+        perm, matched = _match_spectra(e[:n][np.arange(n)[:, None], order], e[n:])
+        # [P_m; P_l]: columns in sorted order and matched to it, then made proper (in SO(4))
+        cols = np.concatenate([order, perm])[:, None]
+        p = p[np.arange(2 * n)[:, None, None], np.arange(4)[:, None], cols]
+        p[:, :, 0] *= np.sign(np.linalg.det(p))[:, None]
+        o_b = p[:n] @ p[n:].swapaxes(-1, -2)
+        o_prime_b = gb[n:] @ o_b.swapaxes(-1, -2) @ dagger(gb[:n])
+        # the wrong sign branch leaves O' non-real
+        ok = matched & (np.abs(o_prime_b.imag).max(axis=(-2, -1)) <= _MATCH_TOL)
+        solved = todo[ok]
+        o[solved] = MAGIC_BASIS @ o_b[ok] @ _MAGIC_DAGGER
+        o_prime[solved] = MAGIC_BASIS @ o_prime_b[ok].real @ _MAGIC_DAGGER
+        phase[solved] = roots[n:][ok] / roots[:n][ok]
+        todo = todo[~ok]
+        if not len(todo):
+            phase = _unstack(phase.reshape(shape[:-2]), complex)
+            return LocalCorrectionPair(o.reshape(shape), o_prime.reshape(shape), phase)
     raise NotEquivalent("spectra of m and l could not be matched")

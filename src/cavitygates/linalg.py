@@ -1,7 +1,8 @@
 """Dense complex linear algebra for few-qubit operators (dimension <= 8).
 
 Conventions:
-  * Operators are square complex128 ndarrays.
+  * Operators are square complex128 ndarrays.  `dagger`, `kron`, `is_unitary`
+    and `phase_distance` also take stacks (..., d, d), elementwise.
   * Qubit ordering is big-endian: in a tensor product the first factor is
     qubit 1 and carries the most significant bit, so the two-qubit basis
     is ordered |00>, |01>, |10>, |11>.
@@ -25,26 +26,47 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
+def _as_stack(a) -> np.ndarray:
+    """Coerce to a square complex matrix or a stack of them, shape (..., d, d)."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
+    return m
+
+
+def _unstack(x, kind):
+    """x as a Python `kind` if it is 0-d (one matrix went in), else as is."""
+    return kind(x) if np.ndim(x) == 0 else x
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes, summed as np.linalg.norm sums one matrix."""
+    re, im = (part.reshape(*x.shape[:-2], 1, -1) for part in (x.real, x.imag))
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(a).conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return _as_stack(a).conj().swapaxes(-1, -2)
 
 
 def kron(first, *rest) -> np.ndarray:
     """Kronecker product of one or more factors, as a fresh array; the
-    leftmost factor is the most significant subsystem.
+    leftmost factor is the most significant subsystem.  Stacks of factors
+    broadcast over their leading axes.
 
     A left fold of broadcast outer products, entry for entry the same
     products as chained np.kron (so bit-identical to it) without its
     generic-rank overhead.
     """
-    out = as_operator(first)
+    out = _as_stack(first)
     if not rest:
         return out.copy()
     for factor in rest:
-        b = as_operator(factor)
-        rows, cols = out.shape[0] * b.shape[0], out.shape[1] * b.shape[1]
-        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+        b = _as_stack(factor)
+        d = out.shape[-1] * b.shape[-1]
+        prod = out[..., None, :, None] * b[..., None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (d, d))
     return out
 
 
@@ -60,10 +82,10 @@ def is_hermitian(a) -> bool:
     return bool(np.linalg.norm(m - m.conj().T) < DEFAULT_TOL)
 
 
-def is_unitary(a) -> bool:
-    """True if ||a^dagger a - 1||_F < DEFAULT_TOL."""
-    m = as_operator(a)
-    return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) < DEFAULT_TOL)
+def is_unitary(a):
+    """True if ||a^dagger a - 1||_F < DEFAULT_TOL; a bool array for a stack."""
+    m = _as_stack(a)
+    return _unstack(_frobenius(dagger(m) @ m - np.eye(m.shape[-1])) < DEFAULT_TOL, bool)
 
 
 def hermitian_spectrum(h) -> tuple[np.ndarray, ...]:
@@ -96,8 +118,8 @@ def expm_hermitian(h, scale: float = 1.0) -> np.ndarray:
     return expm_spectral(*hermitian_spectrum(h), scale)
 
 
-def phase_distance(u, v) -> float:
-    """min over theta of ||u - e^{i theta} v||_F.
+def phase_distance(u, v):
+    """min over theta of ||u - e^{i theta} v||_F; an array for stacks.
 
     The minimizing phase is theta = -arg Tr(u^dagger v); the norm is then
     evaluated directly at that phase rather than through the closed form
@@ -106,10 +128,9 @@ def phase_distance(u, v) -> float:
 
     Zero (to machine precision) iff u = e^{i theta} v exactly.
     """
-    a = as_operator(u)
-    b = as_operator(v)
-    if a.shape != b.shape:
+    a = _as_stack(u)
+    b = _as_stack(v)
+    if a.shape[-1] != b.shape[-1]:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    overlap = np.trace(a.conj().T @ b)
-    theta = -np.angle(overlap) if overlap != 0 else 0.0
-    return float(np.linalg.norm(a - np.exp(1j * theta) * b))
+    theta = -np.angle(np.trace(dagger(a) @ b, axis1=-2, axis2=-1))
+    return _unstack(_frobenius(a - np.exp(1j * theta)[..., None, None] * b), float)

@@ -17,6 +17,8 @@ Report JSON:      {"name": .., "status": "pass" | "fail", "metrics":
 
 from __future__ import annotations
 
+from functools import wraps
+
 import numpy as np
 
 from .errors import CavityGatesError, DimensionMismatch
@@ -41,6 +43,19 @@ def _field(data, key: str):
     return data[key]
 
 
+def _typed(parse):
+    """parse, raising CavityGatesError for a wrong value type (a null dim, a number for a list)."""
+    @wraps(parse)
+    def wrapper(data):
+        try:
+            return parse(data)
+        except CavityGatesError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise CavityGatesError(f"malformed JSON document: {exc}") from exc
+    return wrapper
+
+
 # -- matrices -----------------------------------------------------------
 
 def matrix_to_json(u) -> dict:
@@ -52,6 +67,7 @@ def matrix_to_json(u) -> dict:
     }
 
 
+@_typed
 def matrix_from_json(data: dict) -> np.ndarray:
     dim = int(_field(data, "dim"))
     re = np.asarray(_field(data, "re"), dtype=float)
@@ -123,6 +139,7 @@ def sequence_to_json(seq: GateSequence) -> dict:
     }
 
 
+@_typed
 def sequence_from_json(data: dict) -> GateSequence:
     return GateSequence(
         n_atoms=_field(data, "n_atoms"),

@@ -83,6 +83,18 @@ def _correction_layers(core, phase_step: float, qubits: tuple[int, int]):
     return _layer_from_local(sign * pair.o, qubits), _layer_from_local(pair.o_prime, qubits)
 
 
+_CNOT2_PULSE = CollectiveEvolution(pi / 4, HamiltonianForm.LADDER)
+#: Two-atom CNOT core: U(pi/4), R_y(pi) on atom 1, U(pi/4).
+_CNOT2_CORE = (_CNOT2_PULSE, LocalLayer(((1, "y", pi),)), _CNOT2_PULSE)
+
+
+@lru_cache(maxsize=None)
+def _cnot2_corrections() -> tuple[LocalLayer, LocalLayer]:
+    """Pre/post layers of the two-atom CNOT core, solved once and shared (immutable)."""
+    core = compose(GateSequence(2, _CNOT2_CORE, label="cnot2-core"))
+    return _correction_layers(core, CNOT2_GLOBAL_PHASE, (1, 2))
+
+
 def cnot2_sequence() -> GateSequence:
     """CNOT on two atoms (control 1, target 2) from two pi/4 pulses of
     the collective interaction.
@@ -92,13 +104,10 @@ def cnot2_sequence() -> GateSequence:
     collective time pi/2 (units 1/eta): one pulse pair, which is the
     minimum for reaching the CNOT class with this interaction.
     """
-    evo = CollectiveEvolution(pi / 4, HamiltonianForm.LADDER)
-    middle = LocalLayer(((1, "y", pi),))
-    core = compose(GateSequence(2, (evo, middle, evo), label="cnot2-core"))
-    pre, post = _correction_layers(core, CNOT2_GLOBAL_PHASE, (1, 2))
+    pre, post = _cnot2_corrections()
     return GateSequence(
         n_atoms=2,
-        steps=(pre, evo, middle, evo, post, GlobalPhase(CNOT2_GLOBAL_PHASE)),
+        steps=(pre, *_CNOT2_CORE, post, GlobalPhase(CNOT2_GLOBAL_PHASE)),
         label="cnot2",
     )
 
@@ -176,6 +185,15 @@ def _relabel(layer: LocalLayer, qubits: tuple[int, int]) -> LocalLayer:
     )
 
 
+def _cnot3_steps(control: int, target: int) -> tuple:
+    """Steps of `cnot3_sequence(control, target)`, without building the sequence."""
+    idle = _other_atom(control, target)
+    pre, post = (_relabel(layer, (control, target)) for layer in _cnot3_corrections())
+    echo = _echo_steps(idle, +1)
+    middle = LocalLayer(((target, "y", CNOT3_MIDDLE_ANGLE),))
+    return (pre,) + echo + (middle,) + echo + (post, GlobalPhase(CNOT3_GLOBAL_PHASE))
+
+
 def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     """CNOT between two atoms of a three-atom register, third untouched.
 
@@ -186,13 +204,9 @@ def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     atoms, with the echo pulses moved to whichever atom sits idle.
     Total collective time 8 pi / 3 (units 1/eta).
     """
-    idle = _other_atom(control, target)
-    pre, post = (_relabel(layer, (control, target)) for layer in _cnot3_corrections())
-    echo = _echo_steps(idle, +1)
-    middle = LocalLayer(((target, "y", CNOT3_MIDDLE_ANGLE),))
     return GateSequence(
         n_atoms=3,
-        steps=(pre,) + echo + (middle,) + echo + (post, GlobalPhase(CNOT3_GLOBAL_PHASE)),
+        steps=_cnot3_steps(control, target),
         label=f"cnot3(control={control}, target={target})",
     )
 
@@ -214,11 +228,11 @@ def toffoli_sequence(simplified: bool = False) -> GateSequence:
         a_dag = LocalLayer(((3, "y", -pi / 4),))
         steps = (
             (a_pulse,)
-            + cnot3_sequence(2, 3).steps
+            + _cnot3_steps(2, 3)
             + (a_pulse,)
-            + cnot3_sequence(1, 3).steps
+            + _cnot3_steps(1, 3)
             + (a_dag,)
-            + cnot3_sequence(2, 3).steps
+            + _cnot3_steps(2, 3)
             + (a_dag,)
         )
         return GateSequence(n_atoms=3, steps=steps, label="toffoli-simplified")
@@ -228,18 +242,18 @@ def toffoli_sequence(simplified: bool = False) -> GateSequence:
     t_dag = LocalLayer(((3, "z", -pi / 4),))
     steps = (
         hadamard,
-        *cnot3_sequence(2, 3).steps,
+        *_cnot3_steps(2, 3),
         t_dag,
-        *cnot3_sequence(1, 3).steps,
+        *_cnot3_steps(1, 3),
         LocalLayer(((3, "z", pi / 4),)),
-        *cnot3_sequence(2, 3).steps,
+        *_cnot3_steps(2, 3),
         t_dag,
-        *cnot3_sequence(1, 3).steps,
+        *_cnot3_steps(1, 3),
         LocalLayer(((2, "z", pi / 4), (3, "z", pi / 4))),  # T on atoms 2 and 3
-        *cnot3_sequence(1, 2).steps,
+        *_cnot3_steps(1, 2),
         hadamard,
         LocalLayer(((1, "z", pi / 4), (2, "z", -pi / 4))),  # T on 1, T^dagger on 2
-        *cnot3_sequence(1, 2).steps,
+        *_cnot3_steps(1, 2),
         GlobalPhase(pi / 2 - pi / 8 + pi / 8 - pi / 8 + pi / 4 + pi / 2),
     )
     return GateSequence(n_atoms=3, steps=steps, label="toffoli")

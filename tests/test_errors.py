@@ -55,6 +55,20 @@ CASES = {
         lambda: sequence_from_json(_steps({"kind": "evolve", "form": "ladder"})),
         CavityGatesError,
     ),
+    # wrong value types inside a document
+    "matrix dim null": (
+        lambda: matrix_from_json({"dim": None, "re": [], "im": []}),
+        CavityGatesError,
+    ),
+    "steps not a list": (lambda: sequence_from_json({"n_atoms": 2, "steps": 5}), CavityGatesError),
+    "rotations not a list": (
+        lambda: sequence_from_json(_steps({"kind": "local", "rotations": 3})),
+        CavityGatesError,
+    ),
+    "theta null": (
+        lambda: sequence_from_json(_steps({"kind": "phase", "theta": None})),
+        CavityGatesError,
+    ),
 }
 
 

@@ -1,0 +1,148 @@
+"""Stacks of matrices, shape (..., d, d), through the invariants layer: every
+stacked result equals, bit for bit, a loop of the one-matrix calls."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cavitygates.errors import DimensionMismatch, NotEquivalent, NotUnitary
+from cavitygates.evolution import HamiltonianForm, evolve
+from cavitygates.gates import cnot_gate, rotation, swap_gate, u23_gate
+from cavitygates.invariants import (
+    MAGIC_BASIS,
+    is_local,
+    local_invariants,
+    solve_local_corrections,
+)
+from cavitygates.linalg import dagger, is_unitary, kron, phase_distance
+from cavitygates.synthesis import CNOT3_MIDDLE_ANGLE
+
+from conftest import haar_unitary
+
+
+def _cnot2_core():
+    u = evolve(2, np.pi / 4, HamiltonianForm.LADDER)
+    return u @ kron(rotation("y", np.pi), np.eye(2)) @ u
+
+
+def _cnot3_core():
+    return u23_gate() @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE)) @ u23_gate()
+
+
+def _weight_retry_gate(rng):
+    """A gate whose magic-basis m has two eigenvalues e^{i(phi +- a)} that
+    the solver's first weighted combination Re/pi + pi Im cannot tell apart
+    (tan phi = pi^2), so its diagonalization falls back to the next weight."""
+    phi = np.arctan(np.pi ** 2)
+    a, b = rng.uniform(0.1, 1.0, size=2)
+    angles = np.array([phi + a, phi - a, b, -(2 * phi + b)])
+    o, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    o[:, 0] *= np.sign(np.linalg.det(o))
+    return MAGIC_BASIS @ (np.exp(0.5j * angles)[:, None] * o.T) @ dagger(MAGIC_BASIS)
+
+
+CORES = {
+    "haar": lambda rng: haar_unitary(4, rng),
+    "identity": lambda rng: np.eye(4, dtype=complex),
+    "cnot": lambda rng: cnot_gate(),
+    "swap": lambda rng: swap_gate(),
+    "cnot2 core": lambda rng: _cnot2_core(),
+    "cnot3 core": lambda rng: _cnot3_core(),
+    "weight retry": _weight_retry_gate,
+}
+
+
+def _dressed(m, rng):
+    """e^{i alpha} (A x B) m (C x D) with Haar one-qubit factors."""
+    outer = kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    inner = kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return np.exp(1j * rng.uniform(0, 2 * np.pi)) * outer @ m @ inner
+
+
+@st.composite
+def core_stacks(draw):
+    """(cores, targets, rng): 1-6 cores of mixed (often degenerate) classes
+    and a locally equivalent target for each."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CORES)), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    cores = np.array([CORES[kind](rng) for kind in kinds])
+    targets = np.array([_dressed(m, rng) for m in cores])
+    return cores, targets, rng
+
+
+def _loop(fn, *stacks):
+    return np.array([fn(*args) for args in zip(*stacks)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_stacks())
+def test_stacked_calls_equal_a_loop_of_single_calls(drawn):
+    cores, targets, rng = drawn
+    locals_ = np.array([kron(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in cores])
+    mixed = np.where(rng.random(len(cores))[:, None, None] < 0.5, cores, locals_)
+    scaled = cores * rng.choice([1.0, 1.5], size=len(cores))[:, None, None]
+
+    inv = local_invariants(cores)
+    assert np.array_equal(inv.g1, _loop(lambda m: local_invariants(m).g1, cores))
+    assert np.array_equal(inv.g2, _loop(lambda m: local_invariants(m).g2, cores))
+    assert np.array_equal(is_local(mixed), _loop(is_local, mixed))
+    assert np.array_equal(is_unitary(scaled), _loop(is_unitary, scaled))
+    assert np.array_equal(phase_distance(cores, targets), _loop(phase_distance, cores, targets))
+    assert np.array_equal(kron(cores[:, :2, :2], targets), _loop(kron, cores[:, :2, :2], targets))
+
+    pair = solve_local_corrections(cores, targets)
+    singles = [solve_local_corrections(m, l) for m, l in zip(cores, targets)]
+    assert np.array_equal(pair.o, [p.o for p in singles])
+    assert np.array_equal(pair.o_prime, [p.o_prime for p in singles])
+    assert np.array_equal(pair.phase, [p.phase for p in singles])
+    rebuilt = pair.phase[:, None, None] * pair.o_prime @ cores @ pair.o
+    assert phase_distance(rebuilt, targets).max() < 1e-8
+
+
+def test_one_matrix_keeps_scalar_return_types(rng):
+    m = haar_unitary(4, rng)
+    inv = local_invariants(m)
+    assert type(inv.g1) is complex and type(inv.g2) is complex
+    assert type(is_local(m)) is bool and type(is_unitary(m)) is bool
+    assert type(phase_distance(m, m)) is float
+    pair = solve_local_corrections(m, _dressed(m, rng))
+    assert pair.o.shape == pair.o_prime.shape == (4, 4) and type(pair.phase) is complex
+
+
+def test_leading_axes_are_kept(rng):
+    cores = np.array([[haar_unitary(4, rng) for _ in range(3)] for _ in range(2)])
+    targets = np.array([[_dressed(m, rng) for m in row] for row in cores])
+    assert local_invariants(cores).g1.shape == (2, 3)
+    assert is_unitary(cores).shape == is_local(cores).shape == (2, 3)
+    assert phase_distance(cores, targets).shape == (2, 3)
+    pair = solve_local_corrections(cores, targets)
+    assert pair.o.shape == pair.o_prime.shape == (2, 3, 4, 4) and pair.phase.shape == (2, 3)
+    flat = solve_local_corrections(cores.reshape(6, 4, 4), targets.reshape(6, 4, 4))
+    assert np.array_equal(pair.o.reshape(6, 4, 4), flat.o)
+
+
+def test_one_non_unitary_gate_fails_the_stack(rng):
+    stack = np.array([haar_unitary(4, rng) for _ in range(4)])
+    stack[2] *= 1.01
+    for call in (local_invariants, is_local):
+        with pytest.raises(NotUnitary):
+            call(stack)
+    with pytest.raises(NotUnitary):
+        solve_local_corrections(stack, stack)
+
+
+def test_one_inequivalent_pair_fails_the_stack(rng):
+    cores = np.array([haar_unitary(4, rng) for _ in range(4)])
+    targets = np.array([_dressed(m, rng) for m in cores])
+    solve_local_corrections(cores, targets)
+    cores[1], targets[1] = cnot_gate(), swap_gate()
+    with pytest.raises(NotEquivalent):
+        solve_local_corrections(cores, targets)
+
+
+def test_solver_rejects_stacks_of_different_shapes(rng):
+    cores = np.array([haar_unitary(4, rng) for _ in range(3)])
+    with pytest.raises(DimensionMismatch):
+        solve_local_corrections(cores, cores[:2])
+    with pytest.raises(DimensionMismatch):
+        local_invariants(np.eye(8)[None])

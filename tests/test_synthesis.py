@@ -39,7 +39,15 @@ def _solver_returning(transform):
     return lambda core, want: transform(solve(core, want))
 
 
-def test_correction_sign_goes_into_the_pre_layer(monkeypatch):
+@pytest.fixture
+def resolve_cnot2():
+    """Make cnot2_sequence solve its corrections again: they are cached."""
+    synthesis._cnot2_corrections.cache_clear()
+    yield
+    synthesis._cnot2_corrections.cache_clear()
+
+
+def test_correction_sign_goes_into_the_pre_layer(monkeypatch, resolve_cnot2):
     # (-O, O', -phase) solves the same equation as (O, O', phase); the
     # sign of a -1 residual phase must end up in the realized layers
     flipped = _solver_returning(lambda p: LocalCorrectionPair(-p.o, p.o_prime, -p.phase))
@@ -47,7 +55,7 @@ def test_correction_sign_goes_into_the_pre_layer(monkeypatch):
     assert np.abs(compose(cnot2_sequence()) - cnot_gate()).max() < 1e-9
 
 
-def test_correction_rejects_a_residual_phase_other_than_sign(monkeypatch):
+def test_correction_rejects_a_residual_phase_other_than_sign(monkeypatch, resolve_cnot2):
     # (i O, O', -i phase) is a valid pair too, but SU(2) layers cannot carry i
     turned = _solver_returning(lambda p: LocalCorrectionPair(1j * p.o, p.o_prime, -1j * p.phase))
     monkeypatch.setattr(synthesis, "solve_local_corrections", turned)
