@@ -165,13 +165,16 @@ def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -
     return kron(*[single] * _check_atoms(n))
 
 
+_FORMS = tuple(HamiltonianForm)
+
+
 @lru_cache(maxsize=None)
-def _spectrum(n: int, form: HamiltonianForm) -> tuple[np.ndarray, ...]:
-    """Read-only (w, v, v^dagger, diagonal of S_z) of the linear-free
-    Hamiltonian; arguments are validated by the caller."""
-    w, v, vh = hermitian_spectrum(build_hamiltonian(n, form))
+def _spectra(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (w, v, v^dagger) of the linear-free Hamiltonian, stacked
+    over the forms as _FORMS, and the diagonal of S_z; n is validated by the caller."""
+    spectra = hermitian_spectrum([build_hamiltonian(n, form) for form in _FORMS])
     sz = np.diag(collective_op("z", n)).real.copy()
-    return read_only(w), read_only(v), read_only(vh), read_only(sz)
+    return tuple(read_only(a) for a in (*spectra, sz))
 
 
 def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
@@ -187,8 +190,9 @@ def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
     n = _check_atoms(n)
     _check_form(form)
     _check_finite("phi", phi)
-    w, v, vh, _ = _spectrum(n, form)
-    return expm_spectral(w, v, vh, phi)
+    w, v, vh, _ = _spectra(n)
+    i = _FORMS.index(form)
+    return expm_spectral(w[i], v[i], vh[i], phi)
 
 
 def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np.ndarray:
@@ -206,5 +210,5 @@ def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np
         NonFiniteValue: if phi or nbar is NaN or infinite.
     """
     u = evolve(n, phi, form)
-    sz = _spectrum(n, form)[3]
+    sz = _spectra(n)[3]
     return np.exp(-1j * phi * _linear_coefficient(form, nbar) * sz)[:, None] * u

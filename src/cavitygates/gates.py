@@ -24,17 +24,16 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
 
-#: Read-only (w, v, v^dagger) of each Pauli matrix; eigh is deterministic, so
-#: rendering from it equals a fresh expm_hermitian(sigma, theta / 2) bit for bit.
-_PAULI_SPECTRA = {
-    axis: tuple(read_only(a) for a in hermitian_spectrum(sigma))
-    for axis, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z))
-}
+_AXES = ("x", "y", "z")
+
+#: Read-only stacks (w, v, v^dagger) of the Pauli spectra, indexed as _AXES; eigh is
+#: deterministic, so rendering from them equals a fresh expm_hermitian(sigma, theta / 2).
+_PAULI_SPECTRA = tuple(read_only(a) for a in hermitian_spectrum([SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
 
 def _check_rotation(axis: str, theta: float) -> None:
     """Raise InvalidAxis unless axis is x, y or z, NonFiniteValue unless theta is finite."""
-    if not isinstance(axis, str) or axis not in _PAULI_SPECTRA:
+    if not isinstance(axis, str) or axis not in _AXES:
         raise InvalidAxis(f"rotation axis must be one of x, y, z; got {axis!r}")
     _check_finite("rotation angle", theta)
 
@@ -43,7 +42,9 @@ def rotation(axis: str, theta: float) -> np.ndarray:
     """Single-qubit rotation exp(-i theta sigma_axis / 2), as a fresh array;
     raises as `_check_rotation` does."""
     _check_rotation(axis, theta)
-    return expm_spectral(*_PAULI_SPECTRA[axis], theta / 2)
+    w, v, vh = _PAULI_SPECTRA
+    i = _AXES.index(axis)
+    return expm_spectral(w[i], v[i], vh[i], theta / 2)
 
 
 def controlled_not(n_qubits: int, control: int, target: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Dense complex linear algebra for few-qubit operators (dimension <= 8).
 
 Conventions:
-  * Operators are square complex128 ndarrays.  `dagger`, `kron`, `is_unitary`
-    and `phase_distance` also take stacks (..., d, d), elementwise.
+  * Operators are square complex128 ndarrays.  `dagger`, `kron`, `is_hermitian`,
+    `is_unitary`, `hermitian_spectrum`, `expm_spectral` and `phase_distance` also
+    take stacks (..., d, d), elementwise; `kron` and `phase_distance` raise
+    DimensionMismatch for stacks that do not broadcast.
   * Qubit ordering is big-endian: in a tensor product the first factor is
     qubit 1 and carries the most significant bit, so the two-qubit basis
     is ordered |00>, |01>, |10>, |11>.
@@ -65,7 +67,10 @@ def kron(first, *rest) -> np.ndarray:
     for factor in rest:
         b = _as_stack(factor)
         d = out.shape[-1] * b.shape[-1]
-        prod = out[..., None, :, None] * b[..., None, :, None, :]
+        try:
+            prod = out[..., None, :, None] * b[..., None, :, None, :]
+        except ValueError:
+            raise DimensionMismatch(f"stacks {out.shape} and {b.shape} do not broadcast") from None
         out = prod.reshape(prod.shape[:-4] + (d, d))
     return out
 
@@ -76,10 +81,10 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_hermitian(a) -> bool:
-    """True if ||a - a^dagger||_F < DEFAULT_TOL."""
-    m = as_operator(a)
-    return bool(np.linalg.norm(m - m.conj().T) < DEFAULT_TOL)
+def is_hermitian(a):
+    """True if ||a - a^dagger||_F < DEFAULT_TOL; a bool array for a stack."""
+    m = _as_stack(a)
+    return _unstack(_frobenius(m - dagger(m)) < DEFAULT_TOL, bool)
 
 
 def is_unitary(a):
@@ -92,18 +97,20 @@ def hermitian_spectrum(h) -> tuple[np.ndarray, ...]:
     """Eigenvalues w, unitary eigenvectors v and v^dagger of Hermitian h = v diag(w) v^dagger.
 
     Raises:
-        NotHermitian: if h fails the Hermiticity check.
+        NotHermitian: if h (any matrix of a stack) fails the Hermiticity check.
     """
-    m = as_operator(h)
-    if not is_hermitian(m):
+    m = _as_stack(h)
+    if not np.all(is_hermitian(m)):
         raise NotHermitian("generator of a unitary evolution must be Hermitian")
     w, v = np.linalg.eigh(m)
-    return w, v, v.conj().T
+    return w, v, dagger(v)
 
 
-def expm_spectral(w: np.ndarray, v: np.ndarray, vh: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * h) from the spectrum (w, v, v^dagger) of a Hermitian h."""
-    return (v * np.exp(-1j * scale * w)) @ vh
+def expm_spectral(w: np.ndarray, v: np.ndarray, vh: np.ndarray, scale=1.0) -> np.ndarray:
+    """exp(-i * scale * h) from the spectrum (w, v, v^dagger) of a Hermitian h;
+    spectra (..., d), (..., d, d) and a scale array (...) broadcast elementwise."""
+    z = -1j * (scale[..., None] if isinstance(scale, np.ndarray) else scale)
+    return (v * np.exp(z * w)[..., None, :]) @ vh
 
 
 def expm_hermitian(h, scale: float = 1.0) -> np.ndarray:
@@ -130,7 +137,8 @@ def phase_distance(u, v):
     """
     a = _as_stack(u)
     b = _as_stack(v)
-    if a.shape[-1] != b.shape[-1]:
-        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    theta = -np.angle(np.trace(dagger(a) @ b, axis1=-2, axis2=-1))
+    try:
+        theta = -np.angle(np.trace(dagger(a) @ b, axis1=-2, axis2=-1))
+    except ValueError:
+        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} do not match") from None
     return _unstack(_frobenius(a - np.exp(1j * theta)[..., None, None] * b), float)

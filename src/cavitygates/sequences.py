@@ -14,13 +14,16 @@ A sequence step is one of
   * GlobalPhase(theta): multiplies by e^{i theta}.
 
 Steps are listed in temporal order: compose() multiplies right-to-left,
-so the first step acts first.
+so the first step acts first.  It renders the steps as stacks, every
+collective pulse in one `expm_spectral` call, every rotation in another
+and every layer in one `kron`, then folds them into the product in step
+order, one product at a time: bit for bit the fold of `step_unitary`.
 
 Each step checks its own fields when constructed: phi, angles and theta
 finite, form a HamiltonianForm, axes x/y/z, qubits integers >= 1.  A
 GateSequence checks its register: n_atoms in 1..3, qubits <= n_atoms,
-known step types.  compose() adds only the nbar check; the builders it
-calls check their raw arguments as they do for any caller.
+known step types.  compose() adds only the nbar check; `step_unitary` and
+`local_layer_unitary` check their register as GateSequence does.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from typing import Union
 import numpy as np
 
 from .errors import _check_finite, _check_qubit
-from .evolution import HamiltonianForm, _check_form, evolve
-from .gates import _check_rotation, rotation
-from .linalg import kron, read_only
+from .evolution import _FORMS, HamiltonianForm, _check_form, _spectra
+from .gates import _AXES, _PAULI_SPECTRA, _check_rotation
+from .linalg import expm_spectral, kron
 from .spin import _check_atoms
 
 
@@ -86,32 +89,56 @@ class GateSequence:
                 raise TypeError(f"unknown sequence step {step!r}")
 
 
-_IDENTITY_2 = read_only(np.eye(2, dtype=complex))
+def _layer_unitaries(layers, n_atoms: int) -> np.ndarray:
+    """Stack of the layers' unitaries: one expm_spectral call, one kron."""
+    factors = np.empty((len(layers), n_atoms, 2, 2), dtype=complex)
+    factors[...] = np.eye(2)
+    placed, seen = [], {}
+    for i, layer in enumerate(layers):
+        for qubit, axis, angle in layer.rotations:
+            # depth: the number of earlier rotations of this qubit in this layer
+            seen[i, qubit] = depth = seen.get((i, qubit), -1) + 1
+            placed.append((depth, i, qubit - 1, _AXES.index(axis), angle))
+    if placed:
+        depth, rows, qubits, axes, angles = map(np.array, zip(*placed))
+        w, v, vh = _PAULI_SPECTRA
+        singles = expm_spectral(w[axes], v[axes], vh[axes], angles / 2)
+        for k in range(depth.max() + 1):  # each acts after (left of) the shallower
+            at = depth == k
+            slot = rows[at], qubits[at]
+            factors[slot] = singles[at] if k == 0 else singles[at] @ factors[slot]
+    return kron(*factors.swapaxes(0, 1))
+
+
+def _step_unitaries(seq: GateSequence) -> list[np.ndarray]:
+    """Each step's unitary in order, pulses and layers rendered as stacks."""
+    n, steps = seq.n_atoms, seq.steps
+    pulses = [s for s in steps if isinstance(s, CollectiveEvolution)]
+    layers = [s for s in steps if isinstance(s, LocalLayer)]
+    if pulses:
+        w, v, vh, _ = _spectra(n)
+        forms = np.array([_FORMS.index(p.form) for p in pulses])
+        pulses = expm_spectral(w[forms], v[forms], vh[forms], np.array([p.phi for p in pulses]))
+    # from here on, iterators over the rendered unitaries
+    pulses, layers = iter(pulses), iter(_layer_unitaries(layers, n) if layers else ())
+    return [
+        next(pulses) if isinstance(s, CollectiveEvolution)
+        else next(layers) if isinstance(s, LocalLayer)
+        else np.exp(1j * s.theta) * np.eye(2 ** n, dtype=complex)
+        for s in steps
+    ]
 
 
 def local_layer_unitary(layer: LocalLayer, n_atoms: int) -> np.ndarray:
     """Dense unitary of a rotation layer on an n-atom register, as a fresh
     array; IndexOutOfRange unless n_atoms is in 1..3 and holds every qubit."""
-    singles = [_IDENTITY_2] * _check_atoms(n_atoms)
-    for qubit, axis, angle in layer.rotations:
-        _check_qubit(qubit, n_atoms)
-        single = rotation(axis, angle)
-        # later rotations act after (left of) earlier ones; the first is kept as is
-        prior = singles[qubit - 1]
-        singles[qubit - 1] = single if prior is _IDENTITY_2 else single @ prior
-    return kron(*singles)
+    return _layer_unitaries([layer], GateSequence(n_atoms, (layer,)).n_atoms)[0]
 
 
 def step_unitary(step: SequenceStep, n_atoms: int) -> np.ndarray:
     """Dense unitary of one step, collective steps compensated; IndexOutOfRange
     unless n_atoms is in 1..3 and holds the step's qubits."""
-    if isinstance(step, CollectiveEvolution):
-        return evolve(n_atoms, step.phi, step.form)
-    if isinstance(step, LocalLayer):
-        return local_layer_unitary(step, n_atoms)
-    if isinstance(step, GlobalPhase):
-        return np.exp(1j * step.theta) * np.eye(2 ** _check_atoms(n_atoms), dtype=complex)
-    raise TypeError(f"unknown sequence step {step!r}")
+    return _step_unitaries(GateSequence(n_atoms, (step,)))[0]
 
 
 def compose(seq: GateSequence, nbar: float = 0.0) -> np.ndarray:
@@ -122,8 +149,8 @@ def compose(seq: GateSequence, nbar: float = 0.0) -> np.ndarray:
     """
     _check_finite("nbar", nbar)
     out = np.eye(2 ** seq.n_atoms, dtype=complex)
-    for step in seq.steps:
-        out = step_unitary(step, seq.n_atoms) @ out
+    for u in _step_unitaries(seq):
+        out = u @ out
     return out
 
 

@@ -69,7 +69,9 @@ def matrix_to_json(u) -> dict:
 
 @_typed
 def matrix_from_json(data: dict) -> np.ndarray:
-    dim = int(_field(data, "dim"))
+    dim = _field(data, "dim")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise CavityGatesError(f"dim must be an integer, got {dim!r}")
     re = np.asarray(_field(data, "re"), dtype=float)
     im = np.asarray(_field(data, "im"), dtype=float)
     if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -49,7 +49,14 @@ def test_invariants_unknown_gate_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "doc", [{}, [], {"dim": 2, "re": [[1, 0], [0, 1]]}], ids=["empty", "list", "no-im"]
+    "doc",
+    [
+        {},
+        [],
+        {"dim": 2, "re": [[1, 0], [0, 1]]},
+        {"dim": 2.7, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    ],
+    ids=["empty", "list", "no-im", "fractional-dim"],
 )
 def test_invariants_malformed_matrix_file_is_usage_error(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

@@ -60,6 +60,14 @@ CASES = {
         lambda: matrix_from_json({"dim": None, "re": [], "im": []}),
         CavityGatesError,
     ),
+    "matrix dim not an integer": (
+        lambda: matrix_from_json({"dim": 2.7, "re": ZERO_2, "im": ZERO_2}),
+        CavityGatesError,
+    ),
+    "matrix dim a bool": (
+        lambda: matrix_from_json({"dim": True, "re": [[0.0]], "im": [[0.0]]}),
+        CavityGatesError,
+    ),
     "steps not a list": (lambda: sequence_from_json({"n_atoms": 2, "steps": 5}), CavityGatesError),
     "rotations not a list": (
         lambda: sequence_from_json(_steps({"kind": "local", "rotations": 3})),

@@ -10,7 +10,8 @@ from cavitygates.errors import DegenerateParams, IndexOutOfRange, InvalidForm, N
 from cavitygates.evolution import (
     CavityParams,
     HamiltonianForm,
-    _spectrum,
+    _FORMS,
+    _spectra,
     build_hamiltonian,
     compensation_layer,
     compensation_rotation,
@@ -234,7 +235,10 @@ def test_build_hamiltonian_rejects_non_finite_nbar(form, nbar):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("form", list(HamiltonianForm))
 def test_cached_spectrum_is_read_only(n, form):
-    for array in _spectrum(n, form):
+    # the stacks over both forms, and the one form's items indexed from them
+    w, v, vh, sz = _spectra(n)
+    i = _FORMS.index(form)
+    for array in (w, v, vh, sz, w[i], v[i], vh[i]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0

@@ -12,8 +12,8 @@ from cavitygates.errors import (
     InvalidForm,
     NonFiniteValue,
 )
-from cavitygates.evolution import HamiltonianForm, evolve
-from cavitygates.gates import rotation
+from cavitygates.evolution import HamiltonianForm, _spectra, evolve
+from cavitygates.gates import _PAULI_SPECTRA, rotation
 from cavitygates.linalg import kron, phase_distance
 from cavitygates.sequences import (
     CollectiveEvolution,
@@ -227,3 +227,62 @@ def test_composed_sequences_are_nbar_independent():
     ref = compose(seq, nbar=0.0)
     for nbar in (0.5, 3.7):
         assert phase_distance(compose(seq, nbar=nbar), ref) < 1e-9
+
+
+def _reference_step(step, n_atoms):
+    """One step's unitary from public one-matrix calls: evolve, rotation, kron."""
+    if isinstance(step, CollectiveEvolution):
+        return evolve(n_atoms, step.phi, step.form)
+    if isinstance(step, GlobalPhase):
+        return np.exp(1j * step.theta) * np.eye(2 ** n_atoms, dtype=complex)
+    singles = [None] * n_atoms
+    for qubit, axis, angle in step.rotations:
+        prior, single = singles[qubit - 1], rotation(axis, angle)
+        singles[qubit - 1] = single if prior is None else single @ prior
+    return kron(*(np.eye(2, dtype=complex) if s is None else s for s in singles))
+
+
+def _reference_compose(seq):
+    out = np.eye(2 ** seq.n_atoms, dtype=complex)
+    for step in seq.steps:
+        out = _reference_step(step, seq.n_atoms) @ out
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences())
+@example(GateSequence(2))
+@example(GateSequence(3, (LocalLayer(()),)))
+@example(GateSequence(2, (LocalLayer(((2, "z", 0.3), (2, "y", 1.1), (2, "x", -2.0))),)))
+@example(GateSequence(3, (GlobalPhase(0.4), GlobalPhase(-1.3))))
+@example(GateSequence(1, (
+    CollectiveEvolution(0.7, LADDER), LocalLayer(((1, "x", 0.2), (1, "z", 0.9))),
+    GlobalPhase(0.1), CollectiveEvolution(-0.3, CASIMIR),
+)))
+@example(GateSequence(3, (
+    CollectiveEvolution(0.7, LADDER), CollectiveEvolution(2.1, CASIMIR),
+    LocalLayer(((2, "y", 0.5), (3, "z", 1.0), (2, "x", 0.25))), CollectiveEvolution(-0.4, LADDER),
+)))
+def test_stacked_rendering_equals_the_one_matrix_fold(seq):
+    n = seq.n_atoms
+    for step in seq.steps:
+        assert np.array_equal(step_unitary(step, n), _reference_step(step, n))
+        if isinstance(step, LocalLayer):
+            assert np.array_equal(local_layer_unitary(step, n), _reference_step(step, n))
+    assert np.array_equal(compose(seq), _reference_compose(seq))
+
+
+def test_spectrum_stacks_are_read_only_and_results_are_fresh():
+    for array in (*_PAULI_SPECTRA, *(a for n in (1, 2, 3) for a in _spectra(n))):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+    layer = LocalLayer(((1, "x", 0.3), (1, "y", 0.2), (3, "z", -0.6)))
+    seq = GateSequence(3, (CollectiveEvolution(0.7, LADDER), layer, GlobalPhase(0.5)))
+    calls = [lambda: compose(seq), lambda: local_layer_unitary(layer, 3)]
+    calls += [lambda step=step: step_unitary(step, 3) for step in seq.steps]
+    for call in calls:
+        first = call()
+        expected = first.copy()
+        first[...] = 0.0
+        assert np.array_equal(call(), expected)

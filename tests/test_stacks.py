@@ -1,5 +1,6 @@
-"""Stacks of matrices, shape (..., d, d), through the invariants layer: every
-stacked result equals, bit for bit, a loop of the one-matrix calls."""
+"""Stacks of matrices, shape (..., d, d), through the linear-algebra and
+invariants layers: every stacked result equals, bit for bit, a loop of the
+one-matrix calls."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from cavitygates.invariants import (
     local_invariants,
     solve_local_corrections,
 )
-from cavitygates.linalg import dagger, is_unitary, kron, phase_distance
+from cavitygates.linalg import (
+    dagger,
+    expm_spectral,
+    hermitian_spectrum,
+    is_hermitian,
+    is_unitary,
+    kron,
+    phase_distance,
+)
 from cavitygates.synthesis import CNOT3_MIDDLE_ANGLE
 
 from conftest import haar_unitary
@@ -90,6 +99,18 @@ def test_stacked_calls_equal_a_loop_of_single_calls(drawn):
     assert np.array_equal(phase_distance(cores, targets), _loop(phase_distance, cores, targets))
     assert np.array_equal(kron(cores[:, :2, :2], targets), _loop(kron, cores[:, :2, :2], targets))
 
+    hermitian = cores + dagger(cores)
+    assert np.array_equal(is_hermitian(hermitian), _loop(is_hermitian, hermitian))
+    w, v, vh = hermitian_spectrum(hermitian)
+    for stacked, looped in zip((w, v, vh), zip(*map(hermitian_spectrum, hermitian))):
+        assert np.array_equal(stacked, looped)
+    scales = rng.uniform(-20.0, 20.0, size=len(cores))
+
+    def single(w1, v1, vh1, scale):
+        return expm_spectral(w1, v1, vh1, float(scale))  # a Python float, as evolve passes
+
+    assert np.array_equal(expm_spectral(w, v, vh, scales), _loop(single, w, v, vh, scales))
+
     pair = solve_local_corrections(cores, targets)
     singles = [solve_local_corrections(m, l) for m, l in zip(cores, targets)]
     assert np.array_equal(pair.o, [p.o for p in singles])
@@ -104,6 +125,7 @@ def test_one_matrix_keeps_scalar_return_types(rng):
     inv = local_invariants(m)
     assert type(inv.g1) is complex and type(inv.g2) is complex
     assert type(is_local(m)) is bool and type(is_unitary(m)) is bool
+    assert type(is_hermitian(m)) is bool
     assert type(phase_distance(m, m)) is float
     pair = solve_local_corrections(m, _dressed(m, rng))
     assert pair.o.shape == pair.o_prime.shape == (4, 4) and type(pair.phase) is complex
@@ -138,6 +160,20 @@ def test_one_inequivalent_pair_fails_the_stack(rng):
     cores[1], targets[1] = cnot_gate(), swap_gate()
     with pytest.raises(NotEquivalent):
         solve_local_corrections(cores, targets)
+
+
+def test_stacks_that_do_not_broadcast_raise_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        phase_distance(np.ones((2, 4, 4)), np.ones((3, 4, 4)))
+    with pytest.raises(DimensionMismatch):
+        phase_distance(np.eye(4), np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        kron(np.ones((2, 2, 2)), np.ones((3, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        kron(np.eye(2), np.ones((2, 2, 2)), np.ones((3, 4, 4)))
+    # leading axes that broadcast are fine
+    assert kron(np.ones((2, 1, 2, 2)), np.ones((3, 2, 2))).shape == (2, 3, 4, 4)
+    assert phase_distance(np.eye(4), np.ones((3, 4, 4))).shape == (3,)
 
 
 def test_solver_rejects_stacks_of_different_shapes(rng):
