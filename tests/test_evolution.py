@@ -21,7 +21,14 @@ from cavitygates.evolution import (
     validity_ratio,
 )
 from cavitygates.linalg import expm_hermitian, phase_distance
-from cavitygates.sequences import compose
+from cavitygates.sequences import (
+    CollectiveEvolution,
+    GlobalPhase,
+    LocalLayer,
+    compose,
+    local_layer_unitary,
+    step_unitary,
+)
 from cavitygates.spin import dicke_projector_g
 from cavitygates.synthesis import cnot2_sequence
 
@@ -251,6 +258,10 @@ def test_mutating_a_result_does_not_leak_into_the_next_call():
         lambda: thermal_evolve(3, 0.7, LADDER, 1.5),
         lambda: thermal_evolve(1, 0.7, CASIMIR, 0.0),
         lambda: compose(cnot2_sequence(), nbar=0.5),
+        # one-step renders are items of a fresh stack, never views of a cached one
+        lambda: step_unitary(CollectiveEvolution(0.7, LADDER), 3),
+        lambda: step_unitary(GlobalPhase(0.5), 2),
+        lambda: local_layer_unitary(LocalLayer(((1, "x", 0.3), (1, "y", 0.2), (3, "z", -0.6))), 3),
     ):
         first = call()
         expected = first.copy()

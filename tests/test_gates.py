@@ -8,6 +8,7 @@ from cavitygates.gates import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _PAULI_SPECTRA,
     cnot_gate,
     controlled_not,
     named_gate,
@@ -53,6 +54,8 @@ def test_rotation_is_bit_identical_to_direct_exponential(axis, theta):
 
 
 def test_mutating_a_rotation_does_not_leak_into_the_next_call():
+    for array in _PAULI_SPECTRA:  # the shared stack every rotation is rendered from
+        assert not array.flags.writeable
     first = rotation("y", 0.4)
     first[...] = 0.0
     assert np.array_equal(rotation("y", 0.4), expm_hermitian(SIGMA_Y, 0.2))

@@ -12,8 +12,8 @@ from cavitygates.errors import (
     InvalidForm,
     NonFiniteValue,
 )
-from cavitygates.evolution import HamiltonianForm, _spectra, evolve
-from cavitygates.gates import _PAULI_SPECTRA, rotation
+from cavitygates.evolution import HamiltonianForm, evolve
+from cavitygates.gates import rotation
 from cavitygates.linalg import kron, phase_distance
 from cavitygates.sequences import (
     CollectiveEvolution,
@@ -270,19 +270,3 @@ def test_stacked_rendering_equals_the_one_matrix_fold(seq):
         if isinstance(step, LocalLayer):
             assert np.array_equal(local_layer_unitary(step, n), _reference_step(step, n))
     assert np.array_equal(compose(seq), _reference_compose(seq))
-
-
-def test_spectrum_stacks_are_read_only_and_results_are_fresh():
-    for array in (*_PAULI_SPECTRA, *(a for n in (1, 2, 3) for a in _spectra(n))):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[...] = 0
-    layer = LocalLayer(((1, "x", 0.3), (1, "y", 0.2), (3, "z", -0.6)))
-    seq = GateSequence(3, (CollectiveEvolution(0.7, LADDER), layer, GlobalPhase(0.5)))
-    calls = [lambda: compose(seq), lambda: local_layer_unitary(layer, 3)]
-    calls += [lambda step=step: step_unitary(step, 3) for step in seq.steps]
-    for call in calls:
-        first = call()
-        expected = first.copy()
-        first[...] = 0.0
-        assert np.array_equal(call(), expected)
