@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import pi
+from math import isfinite, pi
 from pathlib import Path
 
 import numpy as np
 
 from . import serialize, verify
-from .errors import CavityGatesError, _check_finite
+from .errors import CavityGatesError, _check_non_negative
 from .evolution import (
     CavityParams,
     HamiltonianForm,
@@ -67,7 +67,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_evolve(args) -> int:
     form = HamiltonianForm(args.form)
-    _check_finite("nbar", args.nbar)
+    _check_non_negative("nbar", args.nbar)
     if args.no_compensate:
         u = thermal_evolve(args.atoms, args.phi, form, args.nbar)
     else:
@@ -159,7 +159,8 @@ def _cmd_params(args) -> int:
                     "params": serialize.cavity_params_to_json(params),
                     "eta": eta,
                     "validity_ratio": ratio,
-                    "gate_times_s": times,
+                    # JSON has no infinity: an undefined time (eta = 0) is null
+                    "gate_times_s": {k: t if isfinite(t) else None for k, t in times.items()},
                 }
             )
         )

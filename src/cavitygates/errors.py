@@ -53,7 +53,7 @@ class InvalidForm(CavityGatesError):
     """A Hamiltonian form is not a HamiltonianForm member."""
 
 
-class InvalidQubits(CavityGatesError):
+class InvalidQubits(IndexOutOfRange):
     """Control/target qubit selection is invalid."""
 
 
@@ -67,7 +67,21 @@ def _check_finite(name: str, value: float) -> None:
         raise NonFiniteValue(f"{name} must be finite, got {value}")
 
 
+def _check_non_negative(name: str, value: float) -> None:
+    """Raise NonFiniteValue unless value is finite, DegenerateParams if it is negative."""
+    _check_finite(name, value)
+    if value < 0:
+        raise DegenerateParams(f"{name} must be >= 0, got {value}")
+
+
 def _check_qubit(qubit: int, n_atoms: float = inf) -> None:
     """Raise IndexOutOfRange unless qubit is an integer in 1..n_atoms."""
     if not isinstance(qubit, (int, np.integer)) or not 1 <= qubit <= n_atoms:
         raise IndexOutOfRange(f"qubit must be an integer in 1..{n_atoms}, got {qubit!r}")
+
+
+def _check_control_target(control: int, target: int, n_qubits: int) -> None:
+    """Raise InvalidQubits unless control and target are distinct integers in 1..n_qubits."""
+    integers = isinstance(control, (int, np.integer)) and isinstance(target, (int, np.integer))
+    if control == target or not (integers and 1 <= control <= n_qubits and 1 <= target <= n_qubits):
+        raise InvalidQubits(f"control, target must be distinct in 1..{n_qubits}: {control}, {target}")

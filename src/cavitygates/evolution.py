@@ -36,7 +36,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DegenerateParams, InvalidForm, _check_finite
+from .errors import DegenerateParams, InvalidForm, _check_finite, _check_non_negative
 from .gates import rotation
 from .linalg import expm_spectral, hermitian_spectrum, kron, read_only
 from .spin import _check_atoms, collective_op, s_squared
@@ -66,7 +66,7 @@ class CavityParams:
     delta is the atom-cavity detuning omega_0 - omega; its sign sets the
     sign of eta.  nbar is the mean thermal photon number of the mode.
     g, delta, kappa and nbar must be finite (NonFiniteValue otherwise);
-    g, kappa and nbar must be >= 0 (DegenerateParams otherwise).
+    g, kappa, nbar >= 0 and kappa, delta not both 0 (DegenerateParams otherwise).
     """
 
     g: float
@@ -76,20 +76,17 @@ class CavityParams:
     n_atoms: int = 2
 
     def __post_init__(self):
-        for name in ("g", "delta", "kappa", "nbar"):
-            _check_finite(name, getattr(self, name))
+        _check_finite("delta", self.delta)
         for name in ("g", "kappa", "nbar"):
-            if getattr(self, name) < 0:
-                raise DegenerateParams(f"{name} must be >= 0, got {getattr(self, name)}")
+            _check_non_negative(name, getattr(self, name))
+        if self.kappa * self.kappa + self.delta * self.delta == 0:  # * cannot overflow as ** can
+            raise DegenerateParams("eta undefined for kappa = delta = 0")
         _check_atoms(self.n_atoms)
 
 
 def coupling_eta(params: CavityParams) -> float:
     """Coupling factor eta = g^2 Delta / (kappa^2 + Delta^2), in rad/s."""
-    denom = params.kappa ** 2 + params.delta ** 2
-    if denom == 0:
-        raise DegenerateParams("eta undefined for kappa = delta = 0")
-    return params.g ** 2 * params.delta / denom
+    return params.g ** 2 * params.delta / (params.kappa ** 2 + params.delta ** 2)
 
 
 #: validity_ratio above this is reported as a warning (a reporting
@@ -103,17 +100,14 @@ def validity_ratio(params: CavityParams) -> float:
     The effective Hamiltonian holds in the dispersive limit where this
     ratio is small.
     """
-    denom = sqrt(params.kappa ** 2 + params.delta ** 2)
-    if denom == 0:
-        raise DegenerateParams("validity ratio undefined for kappa = delta = 0")
-    return params.g * sqrt(params.n_atoms) / denom
+    return params.g * sqrt(params.n_atoms) / sqrt(params.kappa ** 2 + params.delta ** 2)
 
 
 def _linear_coefficient(form: HamiltonianForm, nbar: float) -> float:
     """Coefficient c of the form-specific linear term c S_z:
-    2 nbar (ladder) or 2 nbar + 1 (Casimir); nbar must be finite."""
+    2 nbar (ladder) or 2 nbar + 1 (Casimir); nbar must be finite and >= 0."""
     _check_form(form)
-    _check_finite("nbar", nbar)
+    _check_non_negative("nbar", nbar)
     return 2.0 * nbar if form is HamiltonianForm.LADDER else 2.0 * nbar + 1.0
 
 
@@ -127,7 +121,7 @@ def build_hamiltonian(
 
     With include_linear=False the form-specific linear S_z term is
     dropped: LADDER gives S+ S-, CASIMIR gives S^2 - S_z^2.  With
-    include_linear=True, nbar must be finite (NonFiniteValue).
+    include_linear=True, nbar must be finite (NonFiniteValue) and >= 0 (DegenerateParams).
     """
     n = _check_atoms(n)
     _check_form(form)
@@ -149,7 +143,7 @@ def compensation_rotation(
 
     Returns ('z', -2 nbar phi) for the ladder form and
     ('z', -(2 nbar + 1) phi) for the Casimir form; nbar and phi must be
-    finite (NonFiniteValue).
+    finite (NonFiniteValue), nbar >= 0 (DegenerateParams).
     """
     _check_finite("phi", phi)
     return ("z", -_linear_coefficient(form, nbar) * phi)
@@ -208,6 +202,7 @@ def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np
 
     Raises:
         NonFiniteValue: if phi or nbar is NaN or infinite.
+        DegenerateParams: if nbar is negative.
     """
     u = evolve(n, phi, form)
     sz = _spectra(n)[3]

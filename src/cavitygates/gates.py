@@ -13,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    CavityGatesError, DimensionMismatch, IndexOutOfRange, InvalidAxis, NotUnitary,
-    _check_finite, _check_qubit,
+    CavityGatesError, DimensionMismatch, InvalidAxis, NotUnitary, _check_control_target,
+    _check_finite,
 )
-from .linalg import as_operator, expm_hermitian, expm_spectral, hermitian_spectrum, kron, read_only
+from .linalg import (
+    DEFAULT_TOL, _as_stack, expm_hermitian, expm_spectral, hermitian_spectrum, kron, read_only,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -54,10 +56,7 @@ def controlled_not(n_qubits: int, control: int, target: int) -> np.ndarray:
     control bit is 1), so it is independent of any synthesis machinery
     and serves as a reference for it.  Indices are 1-based.
     """
-    if control == target:
-        raise IndexOutOfRange("control and target must differ")
-    for q in (control, target):
-        _check_qubit(q, n_qubits)
+    _check_control_target(control, target, n_qubits)
     # basis state k goes to k with the target bit flipped if the control bit is set
     k = np.arange(2 ** n_qubits)
     flipped = k ^ (((k >> (n_qubits - control)) & 1) << (n_qubits - target))
@@ -90,10 +89,10 @@ def zyz_angles(u) -> tuple[float, float, float]:
     The decomposition is exact (no leftover phase): the double cover is
     handled by shifting a by 2 pi when the reconstructed sign is flipped.
     """
-    m = as_operator(u)
+    m = _as_stack(u)
     if m.shape != (2, 2):
         raise DimensionMismatch("zyz_angles expects a 2x2 matrix")
-    if abs(np.linalg.det(m) - 1.0) > 1e-9:
+    if abs(np.linalg.det(m) - 1.0) > DEFAULT_TOL:
         raise NotUnitary("zyz_angles expects det = 1 (SU(2)) input")
     b = 2.0 * np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
     if abs(m[0, 0]) < 1e-12:
@@ -108,10 +107,10 @@ def zyz_angles(u) -> tuple[float, float, float]:
         a = (sum_ac + diff_ac) / 2.0
         c = (sum_ac - diff_ac) / 2.0
     rec = rotation("z", a) @ rotation("y", b) @ rotation("z", c)
-    if np.abs(rec - m).max() > 1e-9:
+    if np.abs(rec - m).max() > DEFAULT_TOL:
         a += 2.0 * np.pi  # R_z(a + 2 pi) = -R_z(a) flips the cover sign
         rec = rotation("z", a) @ rotation("y", b) @ rotation("z", c)
-    if np.abs(rec - m).max() > 1e-9:
+    if np.abs(rec - m).max() > DEFAULT_TOL:
         raise CavityGatesError("zyz decomposition failed to reconstruct input")
     return float(a), float(b), float(c)
 

@@ -12,8 +12,8 @@ orthogonal matrix, which is what makes m's spectrum an equivalence-class
 fingerprint and lets the corrections be read off from the real
 eigenbases of m and l.
 
-`local_invariants`, `is_local` and `solve_local_corrections` also take
-stacks of gates, shape (..., 4, 4), elementwise.  No function here
+`local_invariants`, `is_local`, `are_equivalent` and `solve_local_corrections`
+also take stacks of gates, shape (..., 4, 4), elementwise.  No function here
 takes a tolerance: every check runs at the fixed
 `linalg.DEFAULT_TOL`, and the solver's own thresholds are fixed too.
 """
@@ -32,7 +32,7 @@ from .errors import (
     NotFactorable,
     NotUnitary,
 )
-from .linalg import DEFAULT_TOL, _as_stack, _unstack, as_operator, dagger, is_unitary, read_only
+from .linalg import DEFAULT_TOL, _as_stack, _modulus, _unstack, dagger, is_unitary, read_only
 
 #: Magic-basis transformation, read-only: columns are the entangled basis states
 #: (|00>+|11>)/sqrt2, (i|01>+i|10>)/sqrt2, (|01>-|10>)/sqrt2,
@@ -92,12 +92,14 @@ def local_invariants(m_gate) -> LocalInvariants:
     return LocalInvariants(_unstack(g1, complex), _unstack(g2, complex))
 
 
-def are_equivalent(a, b) -> bool:
-    """True iff a and b are related by one-qubit operations (and global
-    phase), i.e. iff both invariant components agree within DEFAULT_TOL."""
-    ia = local_invariants(a)
-    ib = local_invariants(b)
-    return bool(abs(ia.g1 - ib.g1) < DEFAULT_TOL and abs(ia.g2 - ib.g2) < DEFAULT_TOL)
+def are_equivalent(a, b):
+    """True iff a and b are related by one-qubit operations (and global phase),
+    i.e. iff both invariants agree within DEFAULT_TOL; a bool array for stacks."""
+    m, l = _as_stack(a), _as_stack(b)
+    if m.shape != l.shape:
+        raise DimensionMismatch(f"shapes differ: {m.shape} vs {l.shape}")
+    g = np.stack(local_invariants(np.stack([m, l])))  # (g1, g2) x (a, b): one call for both
+    return _unstack((_modulus(g[:, 0] - g[:, 1]) < DEFAULT_TOL).all(axis=0), bool)
 
 
 def is_local(u):
@@ -119,12 +121,12 @@ def factor_local(u):
     Raises:
         NotFactorable: if u is not a tensor product of 2x2 blocks.
     """
-    m = as_operator(u)
+    m = _as_stack(u)
     if m.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 gate, got shape {m.shape}")
     # Anchor on the (first) largest entry, then read off both factors from
-    # the rows/columns through it; hypot ranks as abs() of one entry does.
-    i0, j0 = divmod(int(np.hypot(m.real, m.imag).argmax()), 4)
+    # the rows/columns through it; _modulus ranks as abs() of one entry does.
+    i0, j0 = divmod(int(_modulus(m).argmax()), 4)
     t = m.reshape(2, 2, 2, 2)  # t[a, b, a', b'] = m[2a + b, 2a' + b']
     a, b = t[:, i0 & 1, :, j0 & 1], t[i0 >> 1, :, j0 >> 1, :]
     det_a, det_b = np.linalg.det(a), np.linalg.det(b)
@@ -187,8 +189,7 @@ def _match_spectra(em: np.ndarray, el: np.ndarray) -> tuple[np.ndarray, np.ndarr
     spectra differ: not equivalent).  Greedy matching is immune to the
     branch cut that a phase sort would hit at eigenvalues near -1.
     """
-    diff = el[:, None, :] - em[:, :, None]
-    dist = np.hypot(diff.real, diff.imag)  # rounds as abs() of one complex does
+    dist = _modulus(el[:, None, :] - em[:, :, None])
     rows = np.arange(len(em))
     perm = np.empty(em.shape, dtype=int)
     nearest = np.empty(em.shape)
@@ -220,12 +221,9 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
             differ beyond tolerance, so no correction pair exists.
     """
     m_in, l_in = _as_stack(m_gate), _as_stack(l_gate)
-    if m_in.shape != l_in.shape:
-        raise DimensionMismatch(f"shapes differ: {m_in.shape} vs {l_in.shape}")
-    shape, both = m_in.shape, np.stack([m_in, l_in])  # each stage runs once for M and L
-    g1, g2 = local_invariants(both)
-    if not ((abs(g1[0] - g1[1]) < DEFAULT_TOL) & (abs(g2[0] - g2[1]) < DEFAULT_TOL)).all():
+    if not np.all(are_equivalent(m_in, l_in)):
         raise NotEquivalent("gates have different local invariants")
+    shape, both = m_in.shape, np.stack([m_in, l_in])  # each stage runs once for M and L
     m_in, l_in = both = both.reshape(2, -1, 4, 4)
     det_root_m, det_root_l = np.linalg.det(both) ** 0.25
 

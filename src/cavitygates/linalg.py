@@ -20,14 +20,6 @@ from .errors import DimensionMismatch, NotHermitian
 DEFAULT_TOL = 1e-9
 
 
-def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _as_stack(a) -> np.ndarray:
     """Coerce to a square complex matrix or a stack of them, shape (..., d, d)."""
     m = np.asarray(a, dtype=complex)
@@ -39,6 +31,11 @@ def _as_stack(a) -> np.ndarray:
 def _unstack(x, kind):
     """x as a Python `kind` if it is 0-d (one matrix went in), else as is."""
     return kind(x) if np.ndim(x) == 0 else x
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as abs() of one complex is (numpy's vectorized abs may differ)."""
+    return np.hypot(z.real, z.imag)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:

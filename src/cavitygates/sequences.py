@@ -22,8 +22,8 @@ order, one product at a time: bit for bit the fold of `step_unitary`.
 Each step checks its own fields when constructed: phi, angles and theta
 finite, form a HamiltonianForm, axes x/y/z, qubits integers >= 1.  A
 GateSequence checks its register: n_atoms in 1..3, qubits <= n_atoms,
-known step types.  compose() adds only the nbar check; `step_unitary` and
-`local_layer_unitary` check their register as GateSequence does.
+known step types.  compose() adds only that nbar is finite and >= 0;
+`step_unitary` and `local_layer_unitary` check their register as GateSequence does.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import _check_finite, _check_qubit
+from .errors import _check_finite, _check_non_negative, _check_qubit
 from .evolution import _FORMS, HamiltonianForm, _check_form, _spectra
 from .gates import _AXES, _PAULI_SPECTRA, _check_rotation
 from .linalg import expm_spectral, kron
@@ -145,9 +145,9 @@ def compose(seq: GateSequence, nbar: float = 0.0) -> np.ndarray:
     """Multiply the step unitaries, first listed step acting first.
 
     Collective steps are compensated, so the result does not depend on
-    nbar, which is only checked to be finite.
+    nbar, which is only checked to be finite and >= 0.
     """
-    _check_finite("nbar", nbar)
+    _check_non_negative("nbar", nbar)
     out = np.eye(2 ** seq.n_atoms, dtype=complex)
     for u in _step_unitaries(seq):
         out = u @ out

@@ -17,6 +17,7 @@ Report JSON:      {"name": .., "status": "pass" | "fail", "metrics":
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from functools import wraps
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import CavityGatesError, DimensionMismatch
 from .evolution import CavityParams, HamiltonianForm
 from .invariants import LocalInvariants
-from .linalg import as_operator
+from .linalg import _as_stack
 from .sequences import (
     CollectiveEvolution,
     GateSequence,
@@ -59,7 +60,9 @@ def _typed(parse):
 # -- matrices -----------------------------------------------------------
 
 def matrix_to_json(u) -> dict:
-    m = as_operator(u)
+    m = _as_stack(u)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected one square matrix, got shape {m.shape}")
     return {
         "dim": int(m.shape[0]),
         "re": m.real.tolist(),
@@ -153,13 +156,7 @@ def sequence_from_json(data: dict) -> GateSequence:
 # -- cavity parameters ----------------------------------------------------
 
 def cavity_params_to_json(params: CavityParams) -> dict:
-    return {
-        "g": params.g,
-        "delta": params.delta,
-        "kappa": params.kappa,
-        "nbar": params.nbar,
-        "n_atoms": params.n_atoms,
-    }
+    return asdict(params)
 
 
 # -- verification reports --------------------------------------------------

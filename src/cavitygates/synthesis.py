@@ -29,11 +29,11 @@ from math import atan, pi, sqrt
 
 import numpy as np
 
-from .errors import InvalidBranch, InvalidQubits, NotFactorable
+from .errors import InvalidBranch, NotFactorable, _check_control_target
 from .evolution import HamiltonianForm
 from .gates import cnot_gate, rotation, u23_gate, zyz_angles
 from .invariants import factor_local, solve_local_corrections
-from .linalg import DEFAULT_TOL, as_operator, kron
+from .linalg import DEFAULT_TOL, _as_stack, kron
 from .sequences import (
     CollectiveEvolution,
     GateSequence,
@@ -67,7 +67,7 @@ def _layer_from_local(u4, qubits: tuple[int, int]) -> LocalLayer:
     of 1 for every u4 in SU(2) x SU(2); any other phase is rejected.
     """
     phase, a, b = factor_local(u4)
-    if abs(phase - 1.0) >= 1e-9:
+    if abs(phase - 1.0) >= DEFAULT_TOL:
         raise NotFactorable(f"cannot absorb phase {phase} into rotation layers")
     return LocalLayer(_euler_triples(qubits[0], a) + _euler_triples(qubits[1], b))
 
@@ -78,7 +78,7 @@ def _correction_layers(core, phase_step: float, qubits: tuple[int, int]):
     want = np.exp(-1j * phase_step) * cnot_gate()
     pair = solve_local_corrections(core, want)
     sign = 1.0 if pair.phase.real > 0 else -1.0
-    if abs(pair.phase - sign) > 1e-9:
+    if abs(pair.phase - sign) > DEFAULT_TOL:
         raise NotFactorable(f"unexpected residual phase {pair.phase}")
     return _layer_from_local(sign * pair.o, qubits), _layer_from_local(pair.o_prime, qubits)
 
@@ -146,7 +146,7 @@ def extract_factor(u) -> np.ndarray:
         NotFactorable: if the off-diagonal 4x4 blocks are not zero or
             the two diagonal blocks disagree beyond DEFAULT_TOL.
     """
-    m = as_operator(u)
+    m = _as_stack(u)
     if m.shape != (8, 8):
         raise NotFactorable(f"expected an 8x8 unitary, got shape {m.shape}")
     upper, lower = m[:4, 4:], m[4:, :4]
@@ -159,13 +159,8 @@ def extract_factor(u) -> np.ndarray:
 
 
 def _other_atom(control: int, target: int) -> int:
-    atoms = {1, 2, 3}
-    if control == target or not {control, target} <= atoms:
-        raise InvalidQubits(
-            f"control and target must be distinct atoms in 1..3, got "
-            f"({control}, {target})"
-        )
-    return (atoms - {control, target}).pop()
+    _check_control_target(control, target, 3)
+    return 6 - control - target  # the atoms sum to 6
 
 
 @lru_cache(maxsize=None)

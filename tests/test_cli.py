@@ -116,6 +116,14 @@ def test_evolve_non_finite_input_is_usage_error(capsys, extra):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--no-compensate",)], ids=["compensated", "raw"])
+def test_evolve_negative_nbar_is_usage_error(capsys, extra):
+    code, out, err = run(capsys, "evolve", "--atoms", "2", "--phi", "0.5", "--nbar", "-1", *extra)
+    assert code == 2
+    assert out == ""
+    assert "nbar must be >= 0" in err
+
+
 def test_synthesize_cnot2_json(capsys):
     code, out, _ = run(capsys, "synthesize", "cnot2", "--json")
     assert code == 0
@@ -161,6 +169,24 @@ def test_params_reports_eta_and_times(capsys):
     assert doc["eta"] == pytest.approx(eta)
     assert doc["gate_times_s"]["toffoli"] == pytest.approx(16 * np.pi / eta)
     assert doc["gate_times_s"]["cnot2"] == pytest.approx(np.pi / 2 / eta)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("rates", [("0", "1e7"), ("1e5", "0")], ids=["g=0", "delta=0"])
+def test_params_json_is_strict_json_when_eta_is_zero(capsys, rates):
+    g, delta = rates
+    argv = ("params", "--g", g, "--delta", delta, "--kappa", "1e5")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["eta"] == 0.0
+    assert set(doc["gate_times_s"].values()) == {None}
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "cnot2: phase 0.5 pi -> inf s" in out
 
 
 def test_params_warns_when_dispersive_limit_strained(capsys):

@@ -10,16 +10,25 @@ from cavitygates.errors import (
     InvalidAxis,
     InvalidBranch,
     InvalidForm,
+    InvalidQubits,
     NotUnitary,
 )
-from cavitygates.evolution import CavityParams
-from cavitygates.gates import named_gate, zyz_angles
+from cavitygates.evolution import (
+    CavityParams,
+    HamiltonianForm,
+    build_hamiltonian,
+    compensation_layer,
+    thermal_evolve,
+)
+from cavitygates.gates import controlled_not, named_gate, zyz_angles
+from cavitygates.sequences import compose
 from cavitygates.serialize import matrix_from_json, sequence_from_json
 from cavitygates.spin import collective_op
-from cavitygates.synthesis import spin_echo_u23
+from cavitygates.synthesis import cnot2_sequence, cnot3_sequence, spin_echo_u23
 from cavitygates.verify import run_checks
 
 ZERO_2 = [[0, 0], [0, 0]]
+LADDER = HamiltonianForm.LADDER
 
 
 def _steps(*steps):
@@ -33,6 +42,22 @@ CASES = {
         lambda: CavityParams(g=1.0, delta=1.0, kappa=1.0, nbar=-0.5),
         DegenerateParams,
     ),
+    # eta = g^2 delta / (kappa^2 + delta^2) is undefined
+    "kappa = delta = 0": (lambda: CavityParams(g=1, delta=0, kappa=0), DegenerateParams),
+    # a negative photon number, wherever nbar is taken
+    "thermal_evolve nbar < 0": (lambda: thermal_evolve(2, 0.5, LADDER, -1.0), DegenerateParams),
+    "compensation_layer nbar < 0": (
+        lambda: compensation_layer(2, LADDER, -1.0, 0.5),
+        DegenerateParams,
+    ),
+    "build_hamiltonian nbar < 0": (
+        lambda: build_hamiltonian(2, LADDER, nbar=-1.0, include_linear=True),
+        DegenerateParams,
+    ),
+    "compose nbar < 0": (lambda: compose(cnot2_sequence(), nbar=-1.0), DegenerateParams),
+    # the same bad control/target pair raises the same type from both
+    "controlled_not control = target": (lambda: controlled_not(3, 2, 2), InvalidQubits),
+    "cnot3_sequence control = target": (lambda: cnot3_sequence(2, 2), InvalidQubits),
     "spin axis": (lambda: collective_op("w", 2), InvalidAxis),
     "zyz det != 1": (lambda: zyz_angles(2 * np.eye(2)), NotUnitary),
     # det = 1 but not unitary: no z-y-z product reconstructs it

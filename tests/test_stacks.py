@@ -11,6 +11,7 @@ from cavitygates.evolution import HamiltonianForm, evolve
 from cavitygates.gates import cnot_gate, rotation, swap_gate, u23_gate
 from cavitygates.invariants import (
     MAGIC_BASIS,
+    are_equivalent,
     is_local,
     local_invariants,
     solve_local_corrections,
@@ -95,6 +96,8 @@ def test_stacked_calls_equal_a_loop_of_single_calls(drawn):
     assert np.array_equal(inv.g1, _loop(lambda m: local_invariants(m).g1, cores))
     assert np.array_equal(inv.g2, _loop(lambda m: local_invariants(m).g2, cores))
     assert np.array_equal(is_local(mixed), _loop(is_local, mixed))
+    assert are_equivalent(cores, targets).all()
+    assert np.array_equal(are_equivalent(cores, mixed), _loop(are_equivalent, cores, mixed))
     assert np.array_equal(is_unitary(scaled), _loop(is_unitary, scaled))
     assert np.array_equal(phase_distance(cores, targets), _loop(phase_distance, cores, targets))
     assert np.array_equal(kron(cores[:, :2, :2], targets), _loop(kron, cores[:, :2, :2], targets))
@@ -125,7 +128,7 @@ def test_one_matrix_keeps_scalar_return_types(rng):
     inv = local_invariants(m)
     assert type(inv.g1) is complex and type(inv.g2) is complex
     assert type(is_local(m)) is bool and type(is_unitary(m)) is bool
-    assert type(is_hermitian(m)) is bool
+    assert type(is_hermitian(m)) is bool and type(are_equivalent(m, m)) is bool
     assert type(phase_distance(m, m)) is float
     pair = solve_local_corrections(m, _dressed(m, rng))
     assert pair.o.shape == pair.o_prime.shape == (4, 4) and type(pair.phase) is complex
@@ -180,5 +183,7 @@ def test_solver_rejects_stacks_of_different_shapes(rng):
     cores = np.array([haar_unitary(4, rng) for _ in range(3)])
     with pytest.raises(DimensionMismatch):
         solve_local_corrections(cores, cores[:2])
+    with pytest.raises(DimensionMismatch):
+        are_equivalent(cores, cores[:2])
     with pytest.raises(DimensionMismatch):
         local_invariants(np.eye(8)[None])
