@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class CavityParams:
     delta is the atom-cavity detuning omega_0 - omega; its sign sets the
     sign of eta.  nbar is the mean thermal photon number of the mode.
     g, delta, kappa and nbar must be finite (NonFiniteValue otherwise);
-    g, kappa, nbar >= 0 and kappa, delta not both 0 (DegenerateParams otherwise).
+    g, kappa, nbar >= 0, kappa, delta not both 0, and g^2 and kappa^2 + delta^2
+    finite floats (DegenerateParams otherwise).
     """
 
     g: float
@@ -79,8 +80,11 @@ class CavityParams:
         _check_finite("delta", self.delta)
         for name in ("g", "kappa", "nbar"):
             _check_non_negative(name, getattr(self, name))
-        if self.kappa * self.kappa + self.delta * self.delta == 0:  # * cannot overflow as ** can
+        rates = self.kappa * self.kappa + self.delta * self.delta  # * cannot overflow as ** can
+        if rates == 0:
             raise DegenerateParams("eta undefined for kappa = delta = 0")
+        if inf in (rates, self.g * self.g):  # the squares eta and validity_ratio take
+            raise DegenerateParams(f"g^2 or kappa^2 + delta^2 overflows a float: {self}")
         _check_atoms(self.n_atoms)
 
 

@@ -10,7 +10,10 @@ gate in the magic (Bell-related) basis and m = M_B^T M_B,
 In the magic basis every product of one-qubit unitaries becomes a real
 orthogonal matrix, which is what makes m's spectrum an equivalence-class
 fingerprint and lets the corrections be read off from the real
-eigenbases of m and l.
+eigenbases of m and l.  The corrections and their `factor_local` factors
+are continuous in the gates except where eigenvalue clusters of m merge,
+where a det -1 polar factor has a repeated smallest singular value, or
+where Re tr a = 0.
 
 `local_invariants`, `is_local`, `are_equivalent` and `solve_local_corrections`
 also take stacks of gates, shape (..., 4, 4), elementwise.  No function here
@@ -51,7 +54,7 @@ MAGIC_BASIS = read_only(np.array(
 ) / np.sqrt(2))
 _MAGIC_DAGGER = read_only(dagger(MAGIC_BASIS))
 
-#: Eigenvalue-matching (and O'-realness) threshold of solve_local_corrections.
+#: Threshold on |m O - O l| that tells solve_local_corrections' sign branches apart.
 _MATCH_TOL = 1e-7
 
 
@@ -116,7 +119,8 @@ def is_local(u):
 
 
 def factor_local(u):
-    """Split u = phase * (a x b) with a, b in SU(2).
+    """Split u = phase * (a x b) with a, b in SU(2), Re phase >= 0 and
+    Re tr a >= 0: continuous in u except where Re tr a = 0.
 
     Raises:
         NotFactorable: if u is not a tensor product of 2x2 blocks.
@@ -134,9 +138,11 @@ def factor_local(u):
         raise NotFactorable("gate does not factor into 2x2 blocks")
     a = a / np.sqrt(det_a)
     b = b / np.sqrt(det_b)
+    if np.trace(a).real < 0:  # (a, b) and (-a, -b) give the same product
+        a = -a
     phase = m[i0, j0] / (a[i0 >> 1, j0 >> 1] * b[i0 & 1, j0 & 1])
     if phase.real < 0:
-        a = -a
+        b = -b
         phase = -phase
     if np.abs(m - phase * np.kron(a, b)).max() > DEFAULT_TOL:
         raise NotFactorable("gate does not factor into 2x2 blocks")
@@ -181,25 +187,6 @@ def _diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _match_spectra(em: np.ndarray, el: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy nearest-eigenvalue pairing of el against em (sorted order), per row.
-
-    Returns the permutations of el matching em (ties to the lowest unused
-    index), and whether each row's pairs lie within _MATCH_TOL (else the
-    spectra differ: not equivalent).  Greedy matching is immune to the
-    branch cut that a phase sort would hit at eigenvalues near -1.
-    """
-    dist = _modulus(el[:, None, :] - em[:, :, None])
-    rows = np.arange(len(em))
-    perm = np.empty(em.shape, dtype=int)
-    nearest = np.empty(em.shape)
-    for i in range(em.shape[-1]):
-        perm[:, i] = j = dist[:, i].argmin(axis=-1)
-        nearest[:, i] = dist[rows, i, j]
-        dist[rows, :, j] = np.inf
-    return perm, (nearest <= _MATCH_TOL).all(axis=-1)
-
-
 def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     """Find one-qubit corrections (O, O') with phase * O' M O = L, for one
     pair of gates or elementwise for two stacks of the same shape.
@@ -207,10 +194,13 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     Both gates are first normalized to unit determinant (the removed
     scalars are folded into the returned phase).  The symmetric unitary
     matrices m and l built in the magic basis are diagonalized by real
-    special-orthogonal matrices; matching their spectra yields O in the
-    magic basis, and O' follows from the defining relation.  Degenerate
-    eigenvalues need no special handling: any orthonormal real basis of
-    a degenerate eigenspace produces a valid correction pair.
+    orthogonal P_m, P_l.  O in the magic basis is P_m X P_l^T, X the polar
+    factor of P_m^T P_l on the eigenvalue pairs within DEFAULT_TOL, kept in
+    SO(4) by a reflection along its last singular vector: the real O nearest
+    the identity with m O = O l, whatever basis eigh gave an eigenspace.  O'
+    follows from the defining relation.  O jumps only where eigenvalue clusters
+    merge at DEFAULT_TOL, or where det -1 meets a repeated smallest singular value;
+    merging two eigenvalues d apart moves the reconstruction by about d.
 
     The unit-determinant normalization fixes each gate only up to a
     fourth root of unity, which flips the sign of its m matrix; both
@@ -235,17 +225,17 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
         # [mb; lb]: the unit-determinant gates of the pending pairs in the magic basis
         unit_det = np.concatenate([m_in[todo], l_in[todo]]) / roots[:, None, None]
         gb = _MAGIC_DAGGER @ unit_det @ MAGIC_BASIS
-        e, p = _diagonalize_symmetric_unitary(gb.swapaxes(-1, -2) @ gb)
-        order = np.angle(e[:n]).argsort(axis=-1)
-        perm, matched = _match_spectra(e[:n][np.arange(n)[:, None], order], e[n:])
-        # [P_m; P_l]: columns in sorted order and matched to it, then made proper (in SO(4))
-        cols = np.concatenate([order, perm])[:, None]
-        p = p[np.arange(2 * n)[:, None, None], np.arange(4)[:, None], cols]
-        p[:, :, 0] *= np.sign(np.linalg.det(p))[:, None]
-        o_b = p[:n] @ p[n:].swapaxes(-1, -2)
+        sym = gb.swapaxes(-1, -2) @ gb  # [m; l]
+        e, p = _diagonalize_symmetric_unitary(sym)
+        # pairs within DEFAULT_TOL may mix: merging eigenvalues d apart moves O_b by about d
+        close = _modulus(e[:n, :, None] - e[n:, None, :]) <= DEFAULT_TOL
+        u, _, vt = np.linalg.svd(close * (p[:n].swapaxes(-1, -2) @ p[n:]))
+        det_p = np.linalg.det(p)  # reflect along the last singular vector to stay in SO(4)
+        u[..., -1] *= np.sign(det_p[:n] * det_p[n:] * np.linalg.det(u @ vt))[:, None]
+        o_b = p[:n] @ u @ vt @ p[n:].swapaxes(-1, -2)
         o_prime_b = gb[n:] @ o_b.swapaxes(-1, -2) @ dagger(gb[:n])
-        # the wrong sign branch leaves O' non-real
-        ok = matched & (np.abs(o_prime_b.imag).max(axis=(-2, -1)) <= _MATCH_TOL)
+        # in the wrong sign branch no O_b has m O_b = O_b l
+        ok = np.abs(sym[:n] @ o_b - o_b @ sym[n:]).max(axis=(-2, -1)) <= _MATCH_TOL
         solved = todo[ok]
         o[solved] = MAGIC_BASIS @ o_b[ok] @ _MAGIC_DAGGER
         o_prime[solved] = MAGIC_BASIS @ o_prime_b[ok].real @ _MAGIC_DAGGER

@@ -5,9 +5,9 @@ Invariants JSON:  {"g1": {"re": .., "im": ..}, "g2": {"re": .., "im": ..}}.
 Sequence JSON:    {"label": .., "n_atoms": .., "steps": [...]} where each
                   step is {"kind": "evolve", "phi": .., "form": ..},
                   {"kind": "local", "rotations": [[qubit, axis, angle]..]}
-                  or {"kind": "phase", "theta": ..}.  All angles and
-                  phases are stored in units of pi: the JSON round-trips
-                  exactly, the conversion to radians to within one ulp.
+                  or {"kind": "phase", "theta": ..}.  Angles and phases
+                  are in radians, qubits and n_atoms Python ints: a
+                  sequence round-trips exactly.
 Cavity JSON:      {"g": .., "delta": .., "kappa": .., "nbar": ..,
                   "n_atoms": ..} (rates in rad/s).
 Report JSON:      {"name": .., "status": "pass" | "fail", "metrics":
@@ -33,8 +33,6 @@ from .sequences import (
     LocalLayer,
     SequenceStep,
 )
-
-PI = float(np.pi)
 
 
 def _field(data, key: str):
@@ -111,35 +109,35 @@ def invariants_to_json(inv: LocalInvariants) -> dict:
 
 def _step_to_json(step: SequenceStep) -> dict:
     if isinstance(step, CollectiveEvolution):
-        return {"kind": "evolve", "phi": step.phi / PI, "form": step.form.value}
+        return {"kind": "evolve", "phi": step.phi, "form": step.form.value}
     if isinstance(step, LocalLayer):
         return {
             "kind": "local",
             "rotations": [
-                [qubit, axis, angle / PI] for qubit, axis, angle in step.rotations
+                [int(qubit), axis, angle] for qubit, axis, angle in step.rotations
             ],
         }
-    return {"kind": "phase", "theta": step.theta / PI}  # GateSequence admits no other step
+    return {"kind": "phase", "theta": step.theta}  # GateSequence admits no other step
 
 
 def _step_from_json(data: dict) -> SequenceStep:
     kind = _field(data, "kind")
     if kind == "evolve":
         phi, form = _field(data, "phi"), _field(data, "form")
-        return CollectiveEvolution(float(phi) * PI, HamiltonianForm(form))
+        return CollectiveEvolution(float(phi), HamiltonianForm(form))
     if kind == "local":
         return LocalLayer(tuple(
-            (qubit, axis, float(angle) * PI) for qubit, axis, angle in _field(data, "rotations")
+            (qubit, axis, float(angle)) for qubit, axis, angle in _field(data, "rotations")
         ))
     if kind == "phase":
-        return GlobalPhase(theta=float(_field(data, "theta")) * PI)
+        return GlobalPhase(theta=float(_field(data, "theta")))
     raise CavityGatesError(f"unknown step kind {kind!r}")
 
 
 def sequence_to_json(seq: GateSequence) -> dict:
     return {
         "label": seq.label,
-        "n_atoms": seq.n_atoms,
+        "n_atoms": int(seq.n_atoms),
         "steps": [_step_to_json(step) for step in seq.steps],
     }
 

@@ -55,7 +55,7 @@ def _euler_triples(qubit: int, u2: np.ndarray) -> tuple[tuple[int, str, float], 
     alpha, beta, gamma = zyz_angles(u2)
     triples = []
     for axis, angle in (("z", gamma), ("y", beta), ("z", alpha)):
-        if abs(angle) > 1e-12:
+        if abs(angle) > 1e-10:  # above the solver's noise on a zero angle, below every tolerance
             triples.append((qubit, axis, angle))
     return tuple(triples)
 

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cavitygates.evolution import HamiltonianForm
+from cavitygates.evolution import HamiltonianForm, evolve
+from cavitygates.gates import rotation, u23_gate
+from cavitygates.linalg import expm_hermitian, kron
 from cavitygates.sequences import CollectiveEvolution, GateSequence, GlobalPhase, LocalLayer
+from cavitygates.synthesis import CNOT3_MIDDLE_ANGLE
 
 ANGLES = st.floats(min_value=-20.0, max_value=20.0)
 
@@ -13,6 +16,24 @@ def haar_unitary(dim, rng):
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def cnot2_core():
+    """U(pi/4) (R_y(pi) x 1) U(pi/4), the two-atom CNOT-class core."""
+    u = evolve(2, np.pi / 4, HamiltonianForm.LADDER)
+    return u @ kron(rotation("y", np.pi), np.eye(2)) @ u
+
+
+def cnot3_core():
+    """U23 (1 x R_y(phi_f)) U23, the three-atom CNOT-class core on atoms 2 and 3."""
+    return u23_gate() @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE)) @ u23_gate()
+
+
+def perturbed(u, rng):
+    """u e^{i eps H}: H a random real symmetric 4x4, eps log-uniform in [1e-16, 1e-13]."""
+    a = rng.normal(size=(4, 4))
+    eps = 10.0 ** rng.uniform(-16.0, -13.0)
+    return u @ expm_hermitian((a + a.T) / 2, -eps)
 
 
 @st.composite

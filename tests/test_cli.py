@@ -210,6 +210,14 @@ def test_params_non_finite_rate_is_usage_error(capsys):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("g", ["1", "1e200"])
+def test_params_overflowing_rates_are_usage_errors(capsys, g):
+    code, out, err = run(capsys, "params", "--g", g, "--delta", "1e200", "--kappa", "0", "--json")
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_degenerate_params_exit_code(capsys):
     code, _, err = run(capsys, "params", "--g", "1", "--delta", "0", "--kappa", "0")
     assert code == 2

@@ -18,7 +18,9 @@ from cavitygates.evolution import (
     HamiltonianForm,
     build_hamiltonian,
     compensation_layer,
+    coupling_eta,
     thermal_evolve,
+    validity_ratio,
 )
 from cavitygates.gates import controlled_not, named_gate, zyz_angles
 from cavitygates.sequences import compose
@@ -44,6 +46,19 @@ CASES = {
     ),
     # eta = g^2 delta / (kappa^2 + delta^2) is undefined
     "kappa = delta = 0": (lambda: CavityParams(g=1, delta=0, kappa=0), DegenerateParams),
+    # a rate whose square overflows a float
+    "eta, delta^2 overflows": (
+        lambda: coupling_eta(CavityParams(g=1, delta=1e200, kappa=0)),
+        DegenerateParams,
+    ),
+    "eta, g^2 overflows": (
+        lambda: coupling_eta(CavityParams(g=1e200, delta=1e200, kappa=0)),
+        DegenerateParams,
+    ),
+    "validity ratio, delta^2 overflows": (
+        lambda: validity_ratio(CavityParams(g=1, delta=1e200, kappa=0)),
+        DegenerateParams,
+    ),
     # a negative photon number, wherever nbar is taken
     "thermal_evolve nbar < 0": (lambda: thermal_evolve(2, 0.5, LADDER, -1.0), DegenerateParams),
     "compensation_layer nbar < 0": (

@@ -3,8 +3,8 @@
 tests/data/named_sequences.json holds `sequence_to_json` of the eleven
 named sequences.  Refactors must keep them: the structure (kinds,
 qubits, axes, forms, labels) exactly, and every angle, phi and theta
-(stored in units of pi) to 1e-12.  A change that moves angles on
-purpose regenerates the file and says so.
+(stored in radians) to 1e-12.  A change that moves angles on purpose
+regenerates the file and says so.
 """
 
 import json

@@ -171,6 +171,22 @@ def test_solve_corrections_degenerate_spectrum(rng):
     assert phase_distance(pair.phase * pair.o_prime @ cnot @ pair.o, dressed) < 1e-9
 
 
+@pytest.mark.parametrize("split", [3e-8, 1e-10, 1e-12])
+def test_solve_corrections_nearly_degenerate_spectrum(split, rng):
+    # two eigenvalues of m a hair apart: eigenvalues the solver treats as
+    # one cluster must still reconstruct the gate within tolerance
+    for _ in range(20):
+        b, c = rng.uniform(0.1, 1.0, size=2)
+        angles = np.array([c + split / 2, c - split / 2, b, -(2 * c + b)])
+        o, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        m = MAGIC_BASIS @ (np.exp(0.5j * angles)[:, None] * o.T) @ dagger(MAGIC_BASIS)
+        l = kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ m @ kron(
+            haar_unitary(2, rng), haar_unitary(2, rng)
+        )
+        pair = solve_local_corrections(m, l)
+        assert phase_distance(pair.phase * pair.o_prime @ m @ pair.o, l) < 1e-9
+
+
 def test_solve_corrections_collective_core_to_cnot():
     # the two-pulse core with a middle echo pulse is CNOT-equivalent and
     # the machinery recovers corrections realizing the CNOT exactly

@@ -1,5 +1,4 @@
 import json
-from math import ulp
 
 import numpy as np
 import pytest
@@ -10,8 +9,7 @@ from cavitygates.errors import DimensionMismatch, IndexOutOfRange, InvalidAxis
 from cavitygates.evolution import CavityParams
 from cavitygates.invariants import local_invariants
 from cavitygates.gates import cnot_gate
-from cavitygates.linalg import phase_distance
-from cavitygates.sequences import CollectiveEvolution, LocalLayer, compose
+from cavitygates.sequences import GateSequence, LocalLayer
 from cavitygates.serialize import (
     cavity_params_to_json,
     format_matrix,
@@ -62,18 +60,17 @@ def test_invariants_json_shape():
 
 def test_sequence_json_round_trip():
     for seq in (cnot2_sequence(), cnot3_sequence(3, 1)):
+        assert sequence_from_json(json.loads(json.dumps(sequence_to_json(seq)))) == seq
+
+
+def test_sequence_json_writes_python_ints():
+    # numpy integers are valid qubits and register sizes, but not JSON
+    for seq in (
+        cnot3_sequence(np.int64(2), np.int64(3)),
+        GateSequence(np.int64(2), (LocalLayer(((np.int64(1), "y", 0.5),)),)),
+    ):
         doc = json.loads(json.dumps(sequence_to_json(seq)))
-        back = sequence_from_json(doc)
-        assert back.label == seq.label
-        assert back.n_atoms == seq.n_atoms
-        assert len(back.steps) == len(seq.steps)
-        assert [type(s) for s in back.steps] == [type(s) for s in seq.steps]
-        # unit conversion costs at most an ulp per angle; the composed
-        # gate is preserved far below every behavioral tolerance
-        assert phase_distance(compose(back), compose(seq)) < 1e-12
-        # further hops are bit-stable
-        doc2 = sequence_to_json(back)
-        assert sequence_to_json(sequence_from_json(doc2)) == doc2
+        assert sequence_from_json(doc) == seq
 
 
 def test_sequence_from_json_rejects_unknown_axis():
@@ -97,34 +94,10 @@ def test_sequence_from_json_does_not_truncate_indices(edit):
         sequence_from_json(doc)
 
 
-def _split_angles(seq):
-    """(every field of seq but its angles, phases and phis; those values)."""
-    fields, angles = [seq.n_atoms, seq.label], []
-    for step in seq.steps:
-        if isinstance(step, LocalLayer):
-            fields.append(tuple((qubit, axis) for qubit, axis, _ in step.rotations))
-            angles += [angle for _, _, angle in step.rotations]
-        elif isinstance(step, CollectiveEvolution):
-            fields.append(step.form)
-            angles.append(step.phi)
-        else:
-            fields.append(type(step))
-            angles.append(step.theta)
-    return fields, angles
-
-
 @settings(max_examples=300, deadline=None)
 @given(sequences())
 def test_sequence_json_round_trip_property(seq):
-    doc = json.loads(json.dumps(sequence_to_json(seq)))
-    back = sequence_from_json(doc)
-    assert sequence_to_json(back) == doc
-    # storing angles in units of pi costs at most one ulp per angle (a few
-    # subnormal steps for angles below 1e-307)
-    fields, angles = _split_angles(seq)
-    back_fields, back_angles = _split_angles(back)
-    assert back_fields == fields
-    assert all(abs(b - a) <= max(ulp(a), 4 * ulp(0.0)) for a, b in zip(angles, back_angles))
+    assert sequence_from_json(json.loads(json.dumps(sequence_to_json(seq)))) == seq
 
 
 def test_sequence_json_schema():
@@ -132,10 +105,10 @@ def test_sequence_json_schema():
     kinds = [step["kind"] for step in doc["steps"]]
     assert kinds == ["local", "evolve", "local", "evolve", "local", "phase"]
     evolve_steps = [s for s in doc["steps"] if s["kind"] == "evolve"]
-    # phi stored in units of pi
-    assert all(s["phi"] == pytest.approx(0.25) for s in evolve_steps)
+    # phi and theta stored in radians
+    assert all(s["phi"] == np.pi / 4 for s in evolve_steps)
     assert all(s["form"] == "ladder" for s in evolve_steps)
-    assert doc["steps"][-1]["theta"] == pytest.approx(0.25)
+    assert doc["steps"][-1]["theta"] == np.pi / 4
 
 
 def test_cavity_params_json():

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitygates.errors import DimensionMismatch, NotEquivalent, NotUnitary
-from cavitygates.evolution import HamiltonianForm, evolve
-from cavitygates.gates import cnot_gate, rotation, swap_gate, u23_gate
+from cavitygates.gates import SIGMA_X, SIGMA_Y, SIGMA_Z, cnot_gate, swap_gate
 from cavitygates.invariants import (
     MAGIC_BASIS,
     are_equivalent,
@@ -18,6 +17,7 @@ from cavitygates.invariants import (
 )
 from cavitygates.linalg import (
     dagger,
+    expm_hermitian,
     expm_spectral,
     hermitian_spectrum,
     is_hermitian,
@@ -25,18 +25,14 @@ from cavitygates.linalg import (
     kron,
     phase_distance,
 )
-from cavitygates.synthesis import CNOT3_MIDDLE_ANGLE
 
-from conftest import haar_unitary
-
-
-def _cnot2_core():
-    u = evolve(2, np.pi / 4, HamiltonianForm.LADDER)
-    return u @ kron(rotation("y", np.pi), np.eye(2)) @ u
+from conftest import cnot2_core, cnot3_core, haar_unitary, perturbed
 
 
-def _cnot3_core():
-    return u23_gate() @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE)) @ u23_gate()
+def _canonical(c1, c2, c3):
+    """exp(i/2 (c1 XX + c2 YY + c3 ZZ)), the canonical gate of Weyl point (c1, c2, c3)."""
+    h = sum(c * kron(p, p) for c, p in zip((c1, c2, c3), (SIGMA_X, SIGMA_Y, SIGMA_Z)))
+    return expm_hermitian(h, -0.5)
 
 
 def _weight_retry_gate(rng):
@@ -56,8 +52,13 @@ CORES = {
     "identity": lambda rng: np.eye(4, dtype=complex),
     "cnot": lambda rng: cnot_gate(),
     "swap": lambda rng: swap_gate(),
-    "cnot2 core": lambda rng: _cnot2_core(),
-    "cnot3 core": lambda rng: _cnot3_core(),
+    "sqrt swap": lambda rng: _canonical(np.pi / 4, np.pi / 4, np.pi / 4),
+    "iswap": lambda rng: _canonical(np.pi / 2, np.pi / 2, 0.0),
+    "b gate": lambda rng: _canonical(np.pi / 2, np.pi / 4, 0.0),
+    "cnot2 core": lambda rng: cnot2_core(),
+    "cnot3 core": lambda rng: cnot3_core(),
+    "cnot2 core + eps": lambda rng: perturbed(cnot2_core(), rng),
+    "cnot3 core + eps": lambda rng: perturbed(cnot3_core(), rng),
     "weight retry": _weight_retry_gate,
 }
 

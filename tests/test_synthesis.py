@@ -24,6 +24,8 @@ from cavitygates.synthesis import (
     toffoli_sequence,
 )
 
+from conftest import cnot2_core, cnot3_core, perturbed
+
 
 # -- two atoms -----------------------------------------------------------
 
@@ -278,3 +280,24 @@ def test_cnot3_labellings_relabel_one_correction_pair():
         assert angles(seq) == reference
         for i in (0, -2):
             assert {q for q, _, _ in seq.steps[i].rotations} <= {control, target}
+
+
+@pytest.mark.parametrize(
+    "core, phase_step",
+    [(cnot2_core, synthesis.CNOT2_GLOBAL_PHASE), (cnot3_core, synthesis.CNOT3_GLOBAL_PHASE)],
+    ids=["cnot2", "cnot3"],
+)
+def test_corrections_are_continuous_in_the_core(core, phase_step, rng):
+    # the CNOT class is degenerate: rounding noise in a core must not pick
+    # another member of the family of valid corrections
+    def solve(u):
+        layers = synthesis._correction_layers(u, phase_step, (1, 2))
+        rotations = [r for layer in layers for r in layer.rotations]
+        return [(q, axis) for q, axis, _ in rotations], np.array([a for _, _, a in rotations])
+
+    structure, angles = solve(core())
+    for _ in range(200):
+        got_structure, got = solve(perturbed(core(), rng))
+        assert len(got_structure) == len(structure)
+        assert got_structure == structure
+        assert np.abs((got - angles + 2 * np.pi) % (4 * np.pi) - 2 * np.pi).max() <= 1e-9
