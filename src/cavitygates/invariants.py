@@ -9,16 +9,16 @@ gate in the magic (Bell-related) basis and m = M_B^T M_B,
 
 In the magic basis every product of one-qubit unitaries becomes a real
 orthogonal matrix, which is what makes m's spectrum an equivalence-class
-fingerprint and lets the corrections be read off from the real
-eigenbases of m and l.  The corrections and their `factor_local` factors
-are continuous in the gates except where eigenvalue clusters of m merge,
-where a det -1 polar factor has a repeated smallest singular value, or
-where Re tr a = 0.
+fingerprint.  `solve_local_corrections` reads the corrections off the real
+eigenbases of m and l in one pass, with the traces that test equivalence
+also fixing the sign of l.  The corrections and their `factor_local`
+factors are continuous in the gates except where eigenvalue clusters of m
+merge, where a det -1 polar factor has a repeated smallest singular
+value, or where Re tr a = 0.
 
 `local_invariants`, `is_local`, `are_equivalent` and `solve_local_corrections`
-also take stacks of gates, shape (..., 4, 4), elementwise.  No function here
-takes a tolerance: every check runs at the fixed
-`linalg.DEFAULT_TOL`, and the solver's own thresholds are fixed too.
+also take stacks of gates, shape (..., 4, 4), elementwise.  No function takes a
+tolerance: checks run at `linalg.DEFAULT_TOL` and the solver's thresholds are fixed.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ MAGIC_BASIS = read_only(np.array(
 ) / np.sqrt(2))
 _MAGIC_DAGGER = read_only(dagger(MAGIC_BASIS))
 
-#: Threshold on |m O - O l| that tells solve_local_corrections' sign branches apart.
+#: Threshold on |m O - O l| above which solve_local_corrections finds no correction.
 _MATCH_TOL = 1e-7
 
 
@@ -187,6 +187,12 @@ def _diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarra
     )
 
 
+def _magic_symmetric(gates: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gb = (gate / root) in the magic basis and m = gb^T gb, per gate of a (k, 4, 4) stack."""
+    gb = _MAGIC_DAGGER @ (gates / roots[:, None, None]) @ MAGIC_BASIS
+    return gb, gb.swapaxes(-1, -2) @ gb
+
+
 def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     """Find one-qubit corrections (O, O') with phase * O' M O = L, for one
     pair of gates or elementwise for two stacks of the same shape.
@@ -202,46 +208,44 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     merge at DEFAULT_TOL, or where det -1 meets a repeated smallest singular value;
     merging two eigenvalues d apart moves the reconstruction by about d.
 
-    The unit-determinant normalization fixes each gate only up to a
-    fourth root of unity, which flips the sign of its m matrix; both
-    sign branches are tried, and each pair takes the first that works.
+    The unit-determinant normalization fixes each gate only up to a fourth
+    root of unity, which may negate l.  One pass settles the sign: m and l are
+    built with the principal roots once, and a pair takes root * i (-l) only
+    where Tr m and Tr m^3 clearly differ from l's and agree with -l's; a
+    spectrum symmetric under negation, like the CNOT class's, keeps +l.
 
     Raises:
         NotEquivalent: if the invariants (hence spectra) of some pair
             differ beyond tolerance, so no correction pair exists.
     """
     m_in, l_in = _as_stack(m_gate), _as_stack(l_gate)
-    if not np.all(are_equivalent(m_in, l_in)):
+    if m_in.shape != l_in.shape:
+        raise DimensionMismatch(f"shapes differ: {m_in.shape} vs {l_in.shape}")
+    gates = _check_two_qubit_unitary(np.stack([m_in, l_in])).reshape(-1, 4, 4)  # [M; L]
+    n = len(gates) // 2
+    roots = np.linalg.det(gates) ** 0.25
+    gb, sym = _magic_symmetric(gates, roots)  # [mb; lb], [m; l]
+    sq = sym @ sym
+    t1, t2, t3 = (x.trace(axis1=-2, axis2=-1) for x in (sym, sq, sq @ sym))
+    g = np.stack([t1 * t1 / 16.0, (t1 * t1 - t2) / 4.0])  # g1, g2 of unit-determinant gates
+    if not (_modulus(g[:, :n] - g[:, n:]) < DEFAULT_TOL).all():
         raise NotEquivalent("gates have different local invariants")
-    shape, both = m_in.shape, np.stack([m_in, l_in])  # each stage runs once for M and L
-    m_in, l_in = both = both.reshape(2, -1, 4, 4)
-    det_root_m, det_root_l = np.linalg.det(both) ** 0.25
-
-    o, o_prime, phase = np.empty_like(m_in), np.empty_like(m_in), np.empty(len(m_in), complex)
-    todo = np.arange(len(m_in))
-    for branch in (1.0 + 0j, 1j):
-        n = len(todo)
-        roots = np.concatenate([det_root_m[todo], det_root_l[todo] * branch])
-        # [mb; lb]: the unit-determinant gates of the pending pairs in the magic basis
-        unit_det = np.concatenate([m_in[todo], l_in[todo]]) / roots[:, None, None]
-        gb = _MAGIC_DAGGER @ unit_det @ MAGIC_BASIS
-        sym = gb.swapaxes(-1, -2) @ gb  # [m; l]
-        e, p = _diagonalize_symmetric_unitary(sym)
-        # pairs within DEFAULT_TOL may mix: merging eigenvalues d apart moves O_b by about d
-        close = _modulus(e[:n, :, None] - e[n:, None, :]) <= DEFAULT_TOL
-        u, _, vt = np.linalg.svd(close * (p[:n].swapaxes(-1, -2) @ p[n:]))
-        det_p = np.linalg.det(p)  # reflect along the last singular vector to stay in SO(4)
-        u[..., -1] *= np.sign(det_p[:n] * det_p[n:] * np.linalg.det(u @ vt))[:, None]
-        o_b = p[:n] @ u @ vt @ p[n:].swapaxes(-1, -2)
-        o_prime_b = gb[n:] @ o_b.swapaxes(-1, -2) @ dagger(gb[:n])
-        # in the wrong sign branch no O_b has m O_b = O_b l
-        ok = np.abs(sym[:n] @ o_b - o_b @ sym[n:]).max(axis=(-2, -1)) <= _MATCH_TOL
-        solved = todo[ok]
-        o[solved] = MAGIC_BASIS @ o_b[ok] @ _MAGIC_DAGGER
-        o_prime[solved] = MAGIC_BASIS @ o_prime_b[ok].real @ _MAGIC_DAGGER
-        phase[solved] = roots[n:][ok] / roots[:n][ok]
-        todo = todo[~ok]
-        if not len(todo):
-            phase = _unstack(phase.reshape(shape[:-2]), complex)
-            return LocalCorrectionPair(o.reshape(shape), o_prime.reshape(shape), phase)
-    raise NotEquivalent("spectra of m and l could not be matched")
+    t = np.stack([t1, t3])  # "clearly" is DEFAULT_TOL, on both traces
+    differ, agree = (_modulus(t[:, :n] + sign * t[:, n:]).max(axis=0) for sign in (-1, 1))
+    flip = (differ > DEFAULT_TOL) & (agree <= DEFAULT_TOL)
+    i = n + np.flatnonzero(flip)  # re-render those l with root * i
+    roots[i] = roots[i] * 1j
+    gb[i], sym[i] = _magic_symmetric(gates[i], roots[i])
+    e, p = _diagonalize_symmetric_unitary(sym)
+    # pairs within DEFAULT_TOL may mix: merging eigenvalues d apart moves O_b by about d
+    close = _modulus(e[:n, :, None] - e[n:, None, :]) <= DEFAULT_TOL
+    u, _, vt = np.linalg.svd(close * (p[:n].swapaxes(-1, -2) @ p[n:]))
+    det_p = np.linalg.det(p)  # reflect along the last singular vector to stay in SO(4)
+    u[..., -1] *= np.sign(det_p[:n] * det_p[n:] * np.linalg.det(u @ vt))[:, None]
+    o_b = p[:n] @ u @ vt @ p[n:].swapaxes(-1, -2)
+    if (np.abs(sym[:n] @ o_b - o_b @ sym[n:]).max(axis=(-2, -1)) > _MATCH_TOL).any():
+        raise NotEquivalent("spectra of m and l could not be matched")
+    o_prime_b = gb[n:] @ o_b.swapaxes(-1, -2) @ dagger(gb[:n])
+    o, o_prime = (MAGIC_BASIS @ x @ _MAGIC_DAGGER for x in (o_b, o_prime_b.real))
+    phase = _unstack((roots[n:] / roots[:n]).reshape(m_in.shape[:-2]), complex)
+    return LocalCorrectionPair(o.reshape(m_in.shape), o_prime.reshape(m_in.shape), phase)

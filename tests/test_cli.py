@@ -197,6 +197,14 @@ def test_params_warns_when_dispersive_limit_strained(capsys):
     assert "warning" in err
 
 
+@pytest.mark.parametrize("g, warns", [(1.4e6, True), (3.5e5, False)])
+def test_params_warning_threshold(g, warns, capsys):
+    # validity ratio g sqrt(2) / delta: about 0.2 warns, about 0.05 does not
+    code, _, err = run(capsys, "params", "--g", str(g), "--delta", "1e7", "--kappa", "0", "--json")
+    assert code == 0
+    assert ("warning" in err) is warns
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synthesize", "--bogus-flag"])

@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cavitygates.errors import DimensionMismatch, NotEquivalent, NotFactorable, NotUnitary
 from cavitygates.evolution import HamiltonianForm, evolve
 from cavitygates.gates import cnot_gate, rotation, swap_gate, u23_gate
+from cavitygates import invariants
 from cavitygates.invariants import (
+    _MAGIC_DAGGER,
+    _MATCH_TOL,
     MAGIC_BASIS,
+    _diagonalize_symmetric_unitary,
     are_equivalent,
     factor_local,
     is_local,
     local_invariants,
     solve_local_corrections,
 )
-from cavitygates.linalg import dagger, is_unitary, kron, phase_distance
+from cavitygates.linalg import DEFAULT_TOL, _modulus, dagger, is_unitary, kron, phase_distance
 
-from conftest import haar_unitary
+from conftest import cnot2_core, haar_unitary
 
 
 def test_magic_basis_is_unitary():
@@ -120,6 +125,16 @@ def test_factor_local_roundtrip(rng):
         factor_local(cnot_gate())
 
 
+@pytest.mark.parametrize("theta", np.linspace(np.pi, 2 * np.pi, 9)[1:-1])
+def test_factor_local_sign_rule(theta, rng):
+    # R_y(theta) has tr = 2 cos(theta / 2) < 0 here: the factor must come
+    # back with the sign that makes Re tr a >= 0, and the phase with Re >= 0
+    a, b = rotation("y", theta), haar_unitary(2, rng)
+    phase, fa, fb = factor_local(kron(a, b))
+    assert_allclose(phase * kron(fa, fb), kron(a, b), atol=1e-12)
+    assert np.trace(fa).real >= 0 and phase.real >= 0
+
+
 def test_solve_corrections_self_equivalence():
     cnot = cnot_gate()
     pair = solve_local_corrections(cnot, cnot)
@@ -220,3 +235,130 @@ def test_solve_corrections_maximally_degenerate_classes(base, rng):
         pair = solve_local_corrections(m, l)
         assert phase_distance(pair.phase * pair.o_prime @ m @ pair.o, l) < 1e-9
         assert is_local(pair.o) and is_local(pair.o_prime)
+
+
+def _two_branch_reference(m_gate, l_gate):
+    """The solver as it was before it picked the sign from the traces: every
+    pair tries the principal fourth root of det L, then root * i, and keeps
+    the first whose correction passes m O = O l.  Returns (o, o_prime, phase)."""
+    m_in, l_in = both = np.stack([m_gate, l_gate]).astype(complex).reshape(2, -1, 4, 4)
+    det_root_m, det_root_l = np.linalg.det(both) ** 0.25
+    o, o_prime, phase = np.empty_like(m_in), np.empty_like(m_in), np.empty(len(m_in), complex)
+    todo = np.arange(len(m_in))
+    for branch in (1.0 + 0j, 1j):
+        n = len(todo)
+        roots = np.concatenate([det_root_m[todo], det_root_l[todo] * branch])
+        unit_det = np.concatenate([m_in[todo], l_in[todo]]) / roots[:, None, None]
+        gb = _MAGIC_DAGGER @ unit_det @ MAGIC_BASIS
+        sym = gb.swapaxes(-1, -2) @ gb
+        e, p = _diagonalize_symmetric_unitary(sym)
+        close = _modulus(e[:n, :, None] - e[n:, None, :]) <= DEFAULT_TOL
+        u, _, vt = np.linalg.svd(close * (p[:n].swapaxes(-1, -2) @ p[n:]))
+        det_p = np.linalg.det(p)
+        u[..., -1] *= np.sign(det_p[:n] * det_p[n:] * np.linalg.det(u @ vt))[:, None]
+        o_b = p[:n] @ u @ vt @ p[n:].swapaxes(-1, -2)
+        o_prime_b = gb[n:] @ o_b.swapaxes(-1, -2) @ dagger(gb[:n])
+        ok = np.abs(sym[:n] @ o_b - o_b @ sym[n:]).max(axis=(-2, -1)) <= _MATCH_TOL
+        solved = todo[ok]
+        o[solved] = MAGIC_BASIS @ o_b[ok] @ _MAGIC_DAGGER
+        o_prime[solved] = MAGIC_BASIS @ o_prime_b[ok].real @ _MAGIC_DAGGER
+        phase[solved] = roots[n:][ok] / roots[:n][ok]
+        todo = todo[~ok]
+    assert not len(todo), "the reference found no branch"
+    return o, o_prime, phase
+
+
+def _dressed(g, rng):
+    return kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ g @ kron(
+        haar_unitary(2, rng), haar_unitary(2, rng)
+    )
+
+
+_CLASSES = {
+    "haar": lambda rng: haar_unitary(4, rng),
+    "cnot": lambda rng: cnot_gate(),
+    "cnot2-core": lambda rng: cnot2_core(),
+    "swap": lambda rng: swap_gate(),
+    "identity": lambda rng: np.eye(4, dtype=complex),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(sorted(_CLASSES)), min_size=1, max_size=6))
+def test_one_pass_takes_the_branch_of_the_two_branch_loop(seed, kinds):
+    # both gates of a pair carry independent random global phases, which move
+    # their fourth roots across branches; every output bit must stay
+    rng = np.random.default_rng(seed)
+    m = np.array([np.exp(1j * rng.uniform(0, 2 * np.pi)) * _CLASSES[k](rng) for k in kinds])
+    l = np.array([np.exp(1j * rng.uniform(0, 2 * np.pi)) * _dressed(g, rng) for g in m])
+    o, o_prime, phase = _two_branch_reference(m, l)
+    pair = solve_local_corrections(m, l)
+    assert np.array_equal(pair.o, o)
+    assert np.array_equal(pair.o_prime, o_prime)
+    assert np.array_equal(pair.phase, phase)
+    single = solve_local_corrections(m[0], l[0])
+    assert np.array_equal(single.o, o[0]) and single.phase == phase[0]
+
+
+def _split_symmetric_pair(seed, angle, log_split):
+    """(m, l, |Tr m_b|): m with magic-basis spectrum {e^ia, e^-ia, -e^ia, -e^-ia},
+    symmetric under negation so Tr m_b = Tr m_b^3 = 0, split by about
+    10^log_split, and l an equivalent gate; both carry random global phases.
+    a = pi/2 is the CNOT class, a = 0 another doubly degenerate class."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, np.pi - 0.1) if angle is None else angle
+    split = rng.normal(size=4)
+    angles = np.array([a, -a, np.pi + a, -np.pi - a]) + (split - split.mean()) * 10.0**log_split
+    o, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    m = np.exp(1j * rng.uniform(0, 2 * np.pi)) * (
+        MAGIC_BASIS @ (np.exp(0.5j * angles)[:, None] * o.T) @ _MAGIC_DAGGER
+    )
+    l = np.exp(1j * rng.uniform(0, 2 * np.pi)) * _dressed(m, rng)
+    return m, l, [abs(np.exp(1j * k * angles).sum()) for k in (1, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 0.0, np.pi / 2]),
+    st.floats(min_value=-16.0, max_value=-11.0),
+)
+def test_nearly_symmetric_spectra_reconstruct_or_raise(seed, angle, log_split):
+    m, l, traces = _split_symmetric_pair(seed, angle, log_split)
+    assert max(traces) < 1e-9
+    try:
+        pair = solve_local_corrections(m, l)
+    except NotEquivalent:
+        return
+    assert phase_distance(pair.phase * pair.o_prime @ m @ pair.o, l) < 1e-8
+    assert is_local(pair.o) and is_local(pair.o_prime)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 0.0, np.pi / 2]),
+    st.floats(min_value=-7.0, max_value=-2.0),
+)
+def test_clearly_asymmetric_spectra_always_reconstruct(seed, angle, log_split):
+    # Tr m_b at least 1e-8 from 0: the traces tell the signs apart, so an
+    # equivalent pair never raises
+    m, l, traces = _split_symmetric_pair(seed, angle, log_split)
+    assume(traces[0] > 1e-8)
+    pair = solve_local_corrections(m, l)
+    assert phase_distance(pair.phase * pair.o_prime @ m @ pair.o, l) < 1e-9
+    assert is_local(pair.o) and is_local(pair.o_prime)
+
+
+def test_solver_does_not_recompute_the_invariants(monkeypatch, rng):
+    # one pass: the traces that pick the sign also test equivalence
+    def forbidden(*args):
+        raise AssertionError("solve_local_corrections called a second invariants pass")
+
+    monkeypatch.setattr(invariants, "local_invariants", forbidden)
+    monkeypatch.setattr(invariants, "are_equivalent", forbidden)
+    m = haar_unitary(4, rng)
+    pair = solve_local_corrections(m, _dressed(m, rng))
+    assert is_local(pair.o)
+    with pytest.raises(NotEquivalent):
+        solve_local_corrections(cnot_gate(), swap_gate())

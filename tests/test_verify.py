@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +31,24 @@ def test_round_trip_draws_match_sequential_haar_draws():
         assert np.array_equal(core, haar_unitary(4, rng))
         for factor in side:
             assert np.array_equal(factor, haar_unitary(2, rng))
+
+
+def test_round_trip_pairs_are_cached_read_only_draws():
+    cores, targets = verify._round_trip_pairs()
+    assert verify._round_trip_pairs()[1] is targets
+    assert not cores.flags.writeable and not targets.flags.writeable
+    drawn, sides = verify._round_trip_draws(verify.ROUND_TRIPS, verify.ROUND_TRIP_SEED)
+    assert np.array_equal(cores, drawn)
+    dressed = linalg.kron(sides[:, 0], sides[:, 1]) @ drawn @ linalg.kron(sides[:, 2], sides[:, 3])
+    assert np.array_equal(targets, dressed)
+
+
+def test_round_trip_pairs_are_drawn_on_first_use_not_at_import():
+    src = str(Path(verify.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import cavitygates.verify as v; assert v._round_trip_pairs.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_checks_and_public_functions_take_no_tolerance():
