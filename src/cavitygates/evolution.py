@@ -175,6 +175,14 @@ def _spectra(n: int) -> tuple[np.ndarray, ...]:
     return tuple(read_only(a) for a in (*spectra, sz))
 
 
+def _pulses(n: int, forms, phis) -> np.ndarray:
+    """Stack of exp(-i phi H_0), one per form in forms and phi in phis, in one
+    expm_spectral call over the cached spectra; n is validated by the caller."""
+    w, v, vh, _ = _spectra(n)
+    i = [_FORMS.index(form) for form in forms]
+    return expm_spectral(w[i], v[i], vh[i], phis)
+
+
 def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
     """Ideal collective evolution exp(-i phi H_0), as a fresh array.
 
@@ -188,9 +196,7 @@ def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
     n = _check_atoms(n)
     _check_form(form)
     _check_finite("phi", phi)
-    w, v, vh, _ = _spectra(n)
-    i = _FORMS.index(form)
-    return expm_spectral(w[i], v[i], vh[i], phi)
+    return _pulses(n, [form], phi)[0]
 
 
 def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np.ndarray:

@@ -17,8 +17,9 @@ merge, where a det -1 polar factor has a repeated smallest singular
 value, or where Re tr a = 0.
 
 `local_invariants`, `is_local`, `are_equivalent` and `solve_local_corrections`
-also take stacks of gates, shape (..., 4, 4), elementwise.  No function takes a
-tolerance: checks run at `linalg.DEFAULT_TOL` and the solver's thresholds are fixed.
+also take stacks of gates, shape (..., 4, 4), elementwise.  No function here
+takes a tolerance: every check runs at the fixed
+`linalg.DEFAULT_TOL`, and the solver's own thresholds are fixed too.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     The unit-determinant normalization fixes each gate only up to a fourth
     root of unity, which may negate l.  One pass settles the sign: m and l are
     built with the principal roots once, and a pair takes root * i (-l) only
-    where Tr m and Tr m^3 clearly differ from l's and agree with -l's; a
-    spectrum symmetric under negation, like the CNOT class's, keeps +l.
+    where Tr l differs from Tr m by more than DEFAULT_TOL and is nearer -Tr m;
+    Tr m = 0 means a spectrum symmetric under negation, like the CNOT class's,
+    and +l works there.
 
     Raises:
         NotEquivalent: if the invariants (hence spectra) of some pair
@@ -225,14 +227,13 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     n = len(gates) // 2
     roots = np.linalg.det(gates) ** 0.25
     gb, sym = _magic_symmetric(gates, roots)  # [mb; lb], [m; l]
-    sq = sym @ sym
-    t1, t2, t3 = (x.trace(axis1=-2, axis2=-1) for x in (sym, sq, sq @ sym))
+    t1, t2 = (x.trace(axis1=-2, axis2=-1) for x in (sym, sym @ sym))
     g = np.stack([t1 * t1 / 16.0, (t1 * t1 - t2) / 4.0])  # g1, g2 of unit-determinant gates
     if not (_modulus(g[:, :n] - g[:, n:]) < DEFAULT_TOL).all():
         raise NotEquivalent("gates have different local invariants")
-    t = np.stack([t1, t3])  # "clearly" is DEFAULT_TOL, on both traces
-    differ, agree = (_modulus(t[:, :n] + sign * t[:, n:]).max(axis=0) for sign in (-1, 1))
-    flip = (differ > DEFAULT_TOL) & (agree <= DEFAULT_TOL)
+    # equal g1 leaves Tr l = +-Tr m; take the nearer sign, +l when Tr l is within DEFAULT_TOL
+    differ, agree = _modulus(t1[:n] - t1[n:]), _modulus(t1[:n] + t1[n:])
+    flip = (differ > DEFAULT_TOL) & (agree < differ)
     i = n + np.flatnonzero(flip)  # re-render those l with root * i
     roots[i] = roots[i] * 1j
     gb[i], sym[i] = _magic_symmetric(gates[i], roots[i])

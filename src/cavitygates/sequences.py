@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .errors import _check_finite, _check_non_negative, _check_qubit
-from .evolution import _FORMS, HamiltonianForm, _check_form, _spectra
+from .evolution import HamiltonianForm, _check_form, _pulses
 from .gates import _AXES, _PAULI_SPECTRA, _check_rotation
 from .linalg import expm_spectral, kron
 from .spin import _check_atoms
@@ -116,9 +116,7 @@ def _step_unitaries(seq: GateSequence) -> list[np.ndarray]:
     pulses = [s for s in steps if isinstance(s, CollectiveEvolution)]
     layers = [s for s in steps if isinstance(s, LocalLayer)]
     if pulses:
-        w, v, vh, _ = _spectra(n)
-        forms = np.array([_FORMS.index(p.form) for p in pulses])
-        pulses = expm_spectral(w[forms], v[forms], vh[forms], np.array([p.phi for p in pulses]))
+        pulses = _pulses(n, [p.form for p in pulses], np.array([p.phi for p in pulses]))
     # from here on, iterators over the rendered unitaries
     pulses, layers = iter(pulses), iter(_layer_unitaries(layers, n) if layers else ())
     return [

@@ -18,7 +18,15 @@ from cavitygates.invariants import (
     local_invariants,
     solve_local_corrections,
 )
-from cavitygates.linalg import DEFAULT_TOL, _modulus, dagger, is_unitary, kron, phase_distance
+from cavitygates.linalg import (
+    DEFAULT_TOL,
+    _modulus,
+    dagger,
+    expm_hermitian,
+    is_unitary,
+    kron,
+    phase_distance,
+)
 
 from conftest import cnot2_core, haar_unitary
 
@@ -238,9 +246,12 @@ def test_solve_corrections_maximally_degenerate_classes(base, rng):
 
 
 def _two_branch_reference(m_gate, l_gate):
-    """The solver as it was before it picked the sign from the traces: every
-    pair tries the principal fourth root of det L, then root * i, and keeps
-    the first whose correction passes m O = O l.  Returns (o, o_prime, phase)."""
+    """The solver as it was before it picked the sign from the traces: after an
+    are_equivalent pre-check, every pair tries the principal fourth root of
+    det L, then root * i, and keeps the first whose correction passes
+    m O = O l.  Returns (o, o_prime, phase)."""
+    if not np.all(are_equivalent(m_gate, l_gate)):
+        raise NotEquivalent("gates have different local invariants")
     m_in, l_in = both = np.stack([m_gate, l_gate]).astype(complex).reshape(2, -1, 4, 4)
     det_root_m, det_root_l = np.linalg.det(both) ** 0.25
     o, o_prime, phase = np.empty_like(m_in), np.empty_like(m_in), np.empty(len(m_in), complex)
@@ -264,7 +275,8 @@ def _two_branch_reference(m_gate, l_gate):
         o_prime[solved] = MAGIC_BASIS @ o_prime_b[ok].real @ _MAGIC_DAGGER
         phase[solved] = roots[n:][ok] / roots[:n][ok]
         todo = todo[~ok]
-    assert not len(todo), "the reference found no branch"
+    if len(todo):
+        raise NotEquivalent("spectra of m and l could not be matched")
     return o, o_prime, phase
 
 
@@ -298,6 +310,25 @@ def test_one_pass_takes_the_branch_of_the_two_branch_loop(seed, kinds):
     assert np.array_equal(pair.phase, phase)
     single = solve_local_corrections(m[0], l[0])
     assert np.array_equal(single.o, o[0]) and single.phase == phase[0]
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-10, 3e-10, 1e-9]))
+def test_noisy_pairs_solve_where_the_two_branch_loop_did(seed, eps):
+    # l carries a unitary error of size eps, so Tr l misses +-Tr m by about
+    # eps: the sign must still go to the nearer of the two
+    rng = np.random.default_rng(seed)
+    m = np.exp(1j * rng.uniform(0, 2 * np.pi)) * haar_unitary(4, rng)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    noise = expm_hermitian(h + h.conj().T, -eps / np.linalg.norm(h + h.conj().T, 2))
+    l = np.exp(1j * rng.uniform(0, 2 * np.pi)) * _dressed(m, rng) @ noise
+    try:
+        o, o_prime, phase = _two_branch_reference(m, l)
+    except NotEquivalent:
+        return
+    pair = solve_local_corrections(m, l)
+    assert phase_distance(pair.phase * pair.o_prime @ m @ pair.o, l) < 1e-8
+    assert np.array_equal(pair.o, o[0]) and pair.phase == phase[0]
 
 
 def _split_symmetric_pair(seed, angle, log_split):
