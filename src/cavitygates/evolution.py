@@ -176,10 +176,11 @@ def _spectra(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _pulses(n: int, forms, phis) -> np.ndarray:
-    """Stack of exp(-i phi H_0), one per form in forms and phi in phis, in one
-    expm_spectral call over the cached spectra; n is validated by the caller."""
+    """exp(-i phi H_0) in one expm_spectral call over _spectra(n); forms is one
+    HamiltonianForm, broadcast over phis, or a sequence with one form per phi."""
     w, v, vh, _ = _spectra(n)
-    i = [_FORMS.index(form) for form in forms]
+    one = isinstance(forms, HamiltonianForm)
+    i = _FORMS.index(forms) if one else np.array([_FORMS.index(f) for f in forms])
     return expm_spectral(w[i], v[i], vh[i], phis)
 
 
@@ -196,7 +197,7 @@ def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
     n = _check_atoms(n)
     _check_form(form)
     _check_finite("phi", phi)
-    return _pulses(n, [form], phi)[0]
+    return _pulses(n, form, phi)
 
 
 def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np.ndarray:

@@ -210,11 +210,10 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     merging two eigenvalues d apart moves the reconstruction by about d.
 
     The unit-determinant normalization fixes each gate only up to a fourth
-    root of unity, which may negate l.  One pass settles the sign: m and l are
-    built with the principal roots once, and a pair takes root * i (-l) only
-    where Tr l differs from Tr m by more than DEFAULT_TOL and is nearer -Tr m;
-    Tr m = 0 means a spectrum symmetric under negation, like the CNOT class's,
-    and +l works there.
+    root of unity, which may negate l.  One pass settles the sign: with the
+    principal roots, equal g1 leaves Tr l = +-Tr m, and a pair takes root * i
+    (-l) only where Tr l is more than DEFAULT_TOL from Tr m and nearer -Tr m.
+    Tr m = 0 means a spectrum symmetric under negation (the CNOT class's): +l works.
 
     Raises:
         NotEquivalent: if the invariants (hence spectra) of some pair
@@ -231,7 +230,6 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     g = np.stack([t1 * t1 / 16.0, (t1 * t1 - t2) / 4.0])  # g1, g2 of unit-determinant gates
     if not (_modulus(g[:, :n] - g[:, n:]) < DEFAULT_TOL).all():
         raise NotEquivalent("gates have different local invariants")
-    # equal g1 leaves Tr l = +-Tr m; take the nearer sign, +l when Tr l is within DEFAULT_TOL
     differ, agree = _modulus(t1[:n] - t1[n:]), _modulus(t1[:n] + t1[n:])
     flip = (differ > DEFAULT_TOL) & (agree < differ)
     i = n + np.flatnonzero(flip)  # re-render those l with root * i

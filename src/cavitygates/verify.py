@@ -89,7 +89,7 @@ def check_two_atom_evolution() -> Report:
 def check_invariant_curve() -> Report:
     """Invariants of the two-atom evolution follow (cos^4, 4cos^2 - 1)."""
     phis = np.linspace(0.0, pi, 50)
-    g1, g2 = local_invariants(evolution._pulses(2, [HamiltonianForm.LADDER] * 50, phis))
+    g1, g2 = local_invariants(evolution._pulses(2, HamiltonianForm.LADDER, phis))
     # a scalar power per phase: numpy's vectorized x ** 4 rounds unlike it
     cos4 = np.array([np.cos(phi) ** 4 for phi in phis])
     worst = max(_modulus(g1 - cos4).max(), _modulus(g2 - (4 * np.cos(phis) ** 2 - 1)).max())
