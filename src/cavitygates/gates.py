@@ -5,7 +5,7 @@ most significant bit).  Rotations use the standard SU(2) convention
 
     R_a(theta) = exp(-i theta sigma_a / 2),   a in {x, y, z},
 
-so R_a(theta + 2 pi) = -R_a(theta).
+so R_a(theta + 2 pi) = -R_a(theta); they are rendered as cos(theta/2) 1 - i sin(theta/2) sigma_a.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from .errors import (
     CavityGatesError, DimensionMismatch, InvalidAxis, NotUnitary, _check_control_target,
     _check_finite,
 )
-from .linalg import (
-    DEFAULT_TOL, _as_stack, expm_hermitian, expm_spectral, hermitian_spectrum, kron, read_only,
-)
+from .linalg import DEFAULT_TOL, _as_stack, expm_hermitian, is_unitary, kron, read_only
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -28,9 +26,12 @@ SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
 
 _AXES = ("x", "y", "z")
 
-#: Read-only stacks (w, v, v^dagger) of the Pauli spectra, indexed as _AXES; eigh is
-#: deterministic, so rendering from them equals a fresh expm_hermitian(sigma, theta / 2).
-_PAULI_SPECTRA = tuple(read_only(a) for a in hermitian_spectrum([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+#: Read-only stack of the Pauli matrices, indexed as _AXES, and the identity beside them.
+_PAULIS = read_only(np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]))
+_IDENTITY = read_only(np.eye(2))
+
+#: An Euler angle whose half is below this is zero: above solver noise, below every tolerance.
+_SMALL_HALF_ANGLE = 1e-10
 
 
 def _check_rotation(axis: str, theta: float) -> None:
@@ -40,13 +41,17 @@ def _check_rotation(axis: str, theta: float) -> None:
     _check_finite("rotation angle", theta)
 
 
+def _rotations(axes, thetas) -> np.ndarray:
+    """exp(-i theta sigma / 2) in closed form; axes (indices into _AXES) and angles broadcast."""
+    half = np.asarray(thetas)[..., None, None] / 2
+    return np.cos(half) * _IDENTITY - 1j * np.sin(half) * _PAULIS[axes]
+
+
 def rotation(axis: str, theta: float) -> np.ndarray:
     """Single-qubit rotation exp(-i theta sigma_axis / 2), as a fresh array;
     raises as `_check_rotation` does."""
     _check_rotation(axis, theta)
-    w, v, vh = _PAULI_SPECTRA
-    i = _AXES.index(axis)
-    return expm_spectral(w[i], v[i], vh[i], theta / 2)
+    return _rotations(_AXES.index(axis), theta)
 
 
 def controlled_not(n_qubits: int, control: int, target: int) -> np.ndarray:
@@ -84,35 +89,24 @@ def u23_gate() -> np.ndarray:
 
 
 def zyz_angles(u) -> tuple[float, float, float]:
-    """Euler angles (a, b, c) with u = R_z(a) R_y(b) R_z(c), for u in SU(2).
-
-    The decomposition is exact (no leftover phase): the double cover is
-    handled by shifting a by 2 pi when the reconstructed sign is flipped.
-    """
+    """Euler angles (a, b, c) with u = R_z(a) R_y(b) R_z(c) exactly, for u in SU(2)
+    (else NotUnitary): b = 2 atan2(|u10|, |u00|), a + c = 2 arg u11, a - c = 2 arg u10.
+    Where b/2 or pi/2 - b/2 is below `_SMALL_HALF_ANGLE` only one combination is
+    defined; all of it goes into a, and c = 0."""
     m = _as_stack(u)
     if m.shape != (2, 2):
         raise DimensionMismatch("zyz_angles expects a 2x2 matrix")
-    if abs(np.linalg.det(m) - 1.0) > DEFAULT_TOL:
-        raise NotUnitary("zyz_angles expects det = 1 (SU(2)) input")
-    b = 2.0 * np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
-    if abs(m[0, 0]) < 1e-12:
-        a = np.angle(m[1, 0]) - np.angle(-m[0, 1])
-        c = 0.0
-    elif abs(m[1, 0]) < 1e-12:
-        a = 2.0 * np.angle(m[1, 1])
-        c = 0.0
+    if not is_unitary(m) or abs(np.linalg.det(m) - 1.0) > DEFAULT_TOL:
+        raise NotUnitary("zyz_angles expects a unitary matrix with det 1 (SU(2))")
+    half = np.arctan2(abs(m[1, 0]), abs(m[0, 0]))
+    sum_ac, diff_ac = 2.0 * np.angle(m[1, 1]), 2.0 * np.angle(m[1, 0])
+    if half < _SMALL_HALF_ANGLE:
+        a, c = sum_ac, 0.0
+    elif np.pi / 2 - half < _SMALL_HALF_ANGLE:
+        a, c = diff_ac, 0.0
     else:
-        sum_ac = 2.0 * np.angle(m[1, 1])
-        diff_ac = 2.0 * np.angle(m[1, 0])
-        a = (sum_ac + diff_ac) / 2.0
-        c = (sum_ac - diff_ac) / 2.0
-    rec = rotation("z", a) @ rotation("y", b) @ rotation("z", c)
-    if np.abs(rec - m).max() > DEFAULT_TOL:
-        a += 2.0 * np.pi  # R_z(a + 2 pi) = -R_z(a) flips the cover sign
-        rec = rotation("z", a) @ rotation("y", b) @ rotation("z", c)
-    if np.abs(rec - m).max() > DEFAULT_TOL:
-        raise CavityGatesError("zyz decomposition failed to reconstruct input")
-    return float(a), float(b), float(c)
+        a, c = (sum_ac + diff_ac) / 2.0, (sum_ac - diff_ac) / 2.0
+    return float(a), float(2.0 * half), float(c)
 
 
 NAMED_GATES = {

@@ -40,7 +40,8 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norm over the last two axes, summed as np.linalg.norm sums one matrix."""
-    re, im = (part.reshape(*x.shape[:-2], 1, -1) for part in (x.real, x.imag))
+    # the length in full, not -1, so that an empty stack reshapes
+    re, im = (p.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1]) for p in (x.real, x.imag))
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 

@@ -15,9 +15,10 @@ A sequence step is one of
 
 Steps are listed in temporal order: compose() multiplies right-to-left,
 so the first step acts first.  It renders the steps as stacks, every
-collective pulse in one `expm_spectral` call, every rotation in another
-and every layer in one `kron`, then folds them into the product in step
-order, one product at a time: bit for bit the fold of `step_unitary`.
+collective pulse in one `expm_spectral` call, every rotation in one
+`_rotations` call and every layer in one `kron`, then folds them into the
+product in step order, one product at a time: bit for bit the fold of
+`step_unitary`.
 
 Each step checks its own fields when constructed: phi, angles and theta
 finite, form a HamiltonianForm, axes x/y/z, qubits integers >= 1.  A
@@ -36,8 +37,8 @@ import numpy as np
 
 from .errors import _check_finite, _check_non_negative, _check_qubit
 from .evolution import HamiltonianForm, _check_form, _pulses
-from .gates import _AXES, _PAULI_SPECTRA, _check_rotation
-from .linalg import expm_spectral, kron
+from .gates import _AXES, _check_rotation, _rotations
+from .linalg import kron
 from .spin import _check_atoms
 
 
@@ -90,7 +91,7 @@ class GateSequence:
 
 
 def _layer_unitaries(layers, n_atoms: int) -> np.ndarray:
-    """Stack of the layers' unitaries: one expm_spectral call, one kron."""
+    """Stack of the layers' unitaries: one `_rotations` call, one kron."""
     factors = np.empty((len(layers), n_atoms, 2, 2), dtype=complex)
     factors[...] = np.eye(2)
     placed, seen = [], {}
@@ -101,8 +102,7 @@ def _layer_unitaries(layers, n_atoms: int) -> np.ndarray:
             placed.append((depth, i, qubit - 1, _AXES.index(axis), angle))
     if placed:
         depth, rows, qubits, axes, angles = map(np.array, zip(*placed))
-        w, v, vh = _PAULI_SPECTRA
-        singles = expm_spectral(w[axes], v[axes], vh[axes], angles / 2)
+        singles = _rotations(axes, angles)
         for k in range(depth.max() + 1):  # each acts after (left of) the shallower
             at = depth == k
             slot = rows[at], qubits[at]

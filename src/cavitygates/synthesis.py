@@ -20,6 +20,10 @@ CNOT are then recovered with the local-invariants machinery of
 The derived corrections make every composed sequence equal its target
 gate exactly (to machine precision), including the global phase carried
 as an explicit final step.
+
+Known limit: the corrections stay continuous for cores moved by e^{i eps H} up to
+eps = 1e-11 (tested); from about 1e-10 `_correction_layers` raises NotFactorable
+(residual phase off +-1 by over DEFAULT_TOL), for about half of eps in [1e-9, 1e-8].
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidBranch, NotFactorable, _check_control_target
 from .evolution import HamiltonianForm
-from .gates import cnot_gate, rotation, u23_gate, zyz_angles
+from .gates import _SMALL_HALF_ANGLE, cnot_gate, rotation, u23_gate, zyz_angles
 from .invariants import factor_local, solve_local_corrections
 from .linalg import DEFAULT_TOL, _as_stack, kron
 from .sequences import (
@@ -51,11 +55,11 @@ CNOT3_GLOBAL_PHASE = -pi / 4
 
 
 def _euler_triples(qubit: int, u2: np.ndarray) -> tuple[tuple[int, str, float], ...]:
-    """z-y-z rotation triples (application order) realizing u2 in SU(2)."""
+    """z-y-z rotation triples (application order) realizing u2 in SU(2), zero angles dropped."""
     alpha, beta, gamma = zyz_angles(u2)
     triples = []
     for axis, angle in (("z", gamma), ("y", beta), ("z", alpha)):
-        if abs(angle) > 1e-10:  # above the solver's noise on a zero angle, below every tolerance
+        if abs(angle) / 2 >= _SMALL_HALF_ANGLE:
             triples.append((qubit, axis, angle))
     return tuple(triples)
 

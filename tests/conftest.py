@@ -29,10 +29,12 @@ def cnot3_core():
     return u23_gate() @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE)) @ u23_gate()
 
 
-def perturbed(u, rng):
-    """u e^{i eps H}: H a random real symmetric 4x4, eps log-uniform in [1e-16, 1e-13]."""
+def perturbed(u, rng, eps=None):
+    """u e^{i eps H}: H a random real symmetric 4x4, eps log-uniform in [1e-16, 1e-11]
+    unless given."""
     a = rng.normal(size=(4, 4))
-    eps = 10.0 ** rng.uniform(-16.0, -13.0)
+    if eps is None:
+        eps = 10.0 ** rng.uniform(-16.0, -11.0)
     return u @ expm_hermitian((a + a.T) / 2, -eps)
 
 

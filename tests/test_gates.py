@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import IndexOutOfRange, InvalidAxis, NonFiniteValue
+from cavitygates.errors import IndexOutOfRange, InvalidAxis, NonFiniteValue, NotUnitary
 from cavitygates.gates import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _PAULI_SPECTRA,
+    _IDENTITY,
+    _PAULIS,
     cnot_gate,
     controlled_not,
     named_gate,
@@ -18,7 +19,8 @@ from cavitygates.gates import (
     u23_gate,
     zyz_angles,
 )
-from cavitygates.linalg import expm_hermitian
+from cavitygates.linalg import DEFAULT_TOL, expm_hermitian
+from cavitygates.synthesis import _euler_triples
 
 from conftest import haar_unitary
 
@@ -48,17 +50,21 @@ def test_rotation_rejects_non_finite_angle(theta):
     axis=st.sampled_from("xyz"),
     theta=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
 )
-def test_rotation_is_bit_identical_to_direct_exponential(axis, theta):
+def test_rotation_matches_the_direct_exponential_to_rounding(axis, theta):
+    # the closed form rounds differently from the spectral exponential, by
+    # at most a few ulps of the phase theta / 2
     sigma = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
-    assert np.array_equal(rotation(axis, theta), expm_hermitian(sigma, theta / 2))
+    error = np.abs(rotation(axis, theta) - expm_hermitian(sigma, theta / 2)).max()
+    assert error <= 4 * np.finfo(float).eps * (1 + abs(theta))
 
 
 def test_mutating_a_rotation_does_not_leak_into_the_next_call():
-    for array in _PAULI_SPECTRA:  # the shared stack every rotation is rendered from
-        assert not array.flags.writeable
+    for shared in (_IDENTITY, _PAULIS):  # every rotation is rendered from them
+        assert not shared.flags.writeable
+    fresh = rotation("y", 0.4)
     first = rotation("y", 0.4)
     first[...] = 0.0
-    assert np.array_equal(rotation("y", 0.4), expm_hermitian(SIGMA_Y, 0.2))
+    assert np.array_equal(rotation("y", 0.4), fresh)
 
 
 def test_cnot_truth_table():
@@ -151,3 +157,41 @@ def test_zyz_rejects_non_su2():
         zyz_angles(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         zyz_angles(1j * np.eye(2))  # det -1: U(2) but not SU(2)
+
+
+def test_zyz_rejects_non_unitary_input_of_unit_determinant():
+    with pytest.raises(NotUnitary):
+        zyz_angles(np.diag([2.0, 0.5]))
+
+
+def _zyz(a, b, c):
+    return rotation("z", a) @ rotation("y", b) @ rotation("z", c)
+
+
+#: Outer angles at least 0.01 from a multiple of 2 pi: no z rotation vanishes.
+OUTER = st.floats(min_value=0.01, max_value=2 * np.pi - 0.01)
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=OUTER, c=OUTER, offset=_log_uniform(-17.0, -11.0), near_pi=st.booleans())
+def test_zyz_angles_are_one_z_rotation_at_the_degenerate_points(a, c, offset, near_pi):
+    # within 1e-17..1e-11 of b = 0 (b = pi) only a + c (a - c) is defined: it
+    # becomes one z rotation, on either side of the old gimbal thresholds
+    assume(not near_pi or abs(a - c) > 1e-6)
+    u = _zyz(a, np.pi - offset if near_pi else offset, c)
+    assert np.abs(_zyz(*zyz_angles(u)) - u).max() < DEFAULT_TOL
+    assert len(_euler_triples(1, u)) == (2 if near_pi else 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=OUTER, c=OUTER, half=_log_uniform(-8.0, -3.0), near_pi=st.booleans())
+def test_zyz_angles_keep_small_angles_above_the_one_threshold(a, c, half, near_pi):
+    # a half angle of b (of pi - b) from 1e-8 up is not degenerate: all three
+    # rotations stay, exact to rounding
+    u = _zyz(a, np.pi - 2 * half if near_pi else 2 * half, c)
+    assert np.abs(_zyz(*zyz_angles(u)) - u).max() < 1e-14
+    assert len(_euler_triples(1, u)) == 3

@@ -2,6 +2,9 @@
 invariants layers: every stacked result equals, bit for bit, a loop of the
 one-matrix calls."""
 
+import warnings
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +148,27 @@ def test_leading_axes_are_kept(rng):
     assert pair.o.shape == pair.o_prime.shape == (2, 3, 4, 4) and pair.phase.shape == (2, 3)
     flat = solve_local_corrections(cores.reshape(6, 4, 4), targets.reshape(6, 4, 4))
     assert np.array_equal(pair.o.reshape(6, 4, 4), flat.o)
+
+
+EMPTY_STACK_CALLS = {
+    "is_unitary": lambda e: (is_unitary(e),),
+    "is_hermitian": lambda e: (is_hermitian(e),),
+    "phase_distance": lambda e: (phase_distance(e, e),),
+    "local_invariants": lambda e: tuple(local_invariants(e)),
+    "is_local": lambda e: (is_local(e),),
+    "are_equivalent": lambda e: (are_equivalent(e, e),),
+    "solve_local_corrections": lambda e: astuple(solve_local_corrections(e, e)),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_STACK_CALLS.values(), ids=EMPTY_STACK_CALLS.keys())
+def test_an_empty_stack_gives_empty_results(call):
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = call(empty)
+    for result in results:
+        assert result.shape[:1] == (0,)
 
 
 def test_one_non_unitary_gate_fails_the_stack(rng):

@@ -301,3 +301,11 @@ def test_corrections_are_continuous_in_the_core(core, phase_step, rng):
         assert len(got_structure) == len(structure)
         assert got_structure == structure
         assert np.abs((got - angles + 2 * np.pi) % (4 * np.pi) - 2 * np.pi).max() <= 1e-9
+
+
+def test_a_core_far_outside_the_tested_range_raises_not_factorable(rng):
+    # the known limit in the synthesis docstring: at eps = 1e-8 the residual
+    # phase of the solved pair is about 1e-9 off +-1, a typed error
+    core = perturbed(cnot2_core(), rng, eps=1e-8)
+    with pytest.raises(NotFactorable, match="residual phase"):
+        synthesis._correction_layers(core, synthesis.CNOT2_GLOBAL_PHASE, (1, 2))
