@@ -13,12 +13,10 @@ A sequence step is one of
     interaction.
   * GlobalPhase(theta): multiplies by e^{i theta}.
 
-Steps are listed in temporal order: compose() multiplies right-to-left,
-so the first step acts first.  It renders the steps as stacks, every
-collective pulse in one `expm_spectral` call, every rotation in one
-`_rotations` call and every layer in one `kron`, then folds them into the
-product in step order, one product at a time: bit for bit the fold of
-`step_unitary`.
+Steps are listed in temporal order, the first acting first.  compose()
+renders one stack of factors (one per pulse, per rotation as a kron with
+identities, per phase) and multiplies neighbours pairwise, level by
+level; `step_unitary` runs the same path on one step.
 
 Each step checks its own fields when constructed: phi, angles and theta
 finite, form a HamiltonianForm, axes x/y/z, qubits integers >= 1.  A
@@ -37,7 +35,7 @@ import numpy as np
 
 from .errors import _check_finite, _check_non_negative, _check_qubit
 from .evolution import HamiltonianForm, _check_form, _pulses
-from .gates import _AXES, _check_rotation, _rotations
+from .gates import _AXES, _IDENTITY, _check_rotation, _rotations
 from .linalg import kron
 from .spin import _check_atoms
 
@@ -90,66 +88,65 @@ class GateSequence:
                 raise TypeError(f"unknown sequence step {step!r}")
 
 
-def _layer_unitaries(layers, n_atoms: int) -> np.ndarray:
-    """Stack of the layers' unitaries: one `_rotations` call, one kron."""
-    factors = np.empty((len(layers), n_atoms, 2, 2), dtype=complex)
-    factors[...] = np.eye(2)
-    placed, seen = [], {}
-    for i, layer in enumerate(layers):
-        for qubit, axis, angle in layer.rotations:
-            # depth: the number of earlier rotations of this qubit in this layer
-            seen[i, qubit] = depth = seen.get((i, qubit), -1) + 1
-            placed.append((depth, i, qubit - 1, _AXES.index(axis), angle))
-    if placed:
-        depth, rows, qubits, axes, angles = map(np.array, zip(*placed))
-        singles = _rotations(axes, angles)
-        for k in range(depth.max() + 1):  # each acts after (left of) the shallower
-            at = depth == k
-            slot = rows[at], qubits[at]
-            factors[slot] = singles[at] if k == 0 else singles[at] @ factors[slot]
-    return kron(*factors.swapaxes(0, 1))
-
-
-def _step_unitaries(seq: GateSequence) -> list[np.ndarray]:
-    """Each step's unitary in order, pulses and layers rendered as stacks."""
-    n, steps = seq.n_atoms, seq.steps
-    pulses = [s for s in steps if isinstance(s, CollectiveEvolution)]
-    layers = [s for s in steps if isinstance(s, LocalLayer)]
+def _step_unitaries(seq: GateSequence) -> np.ndarray:
+    """(k, d, d) stack of the factors in application order: one per pulse, one per
+    rotation (a kron with identities on the other qubits), one per global phase."""
+    n, d = seq.n_atoms, 2 ** seq.n_atoms
+    k, pulses, rotations, phases = 0, [], [], []  # (position in the stack, step or fields)
+    for step in seq.steps:
+        if isinstance(step, LocalLayer):
+            for qubit, axis, angle in step.rotations:
+                rotations.append((k, qubit - 1, _AXES.index(axis), angle))
+                k += 1
+        else:
+            (pulses if isinstance(step, CollectiveEvolution) else phases).append((k, step))
+            k += 1
+    us = np.empty((k, d, d), dtype=complex)
     if pulses:
-        pulses = _pulses(n, [p.form for p in pulses], np.array([p.phi for p in pulses]))
-    # from here on, iterators over the rendered unitaries
-    pulses, layers = iter(pulses), iter(_layer_unitaries(layers, n) if layers else ())
-    return [
-        next(pulses) if isinstance(s, CollectiveEvolution)
-        else next(layers) if isinstance(s, LocalLayer)
-        else np.exp(1j * s.theta) * np.eye(2 ** n, dtype=complex)
-        for s in steps
-    ]
+        at, steps = zip(*pulses)
+        us[list(at)] = _pulses(n, [p.form for p in steps], np.array([p.phi for p in steps]))
+    if rotations:
+        at, qubits, axes, angles = zip(*rotations)
+        singles = np.empty((n, len(at), 2, 2), dtype=complex)
+        singles[...] = _IDENTITY
+        singles[qubits, np.arange(len(at))] = _rotations(list(axes), angles)
+        us[list(at)] = kron(*singles)
+    if phases:
+        at, steps = zip(*phases)
+        us[list(at)] = np.exp(1j * np.array([p.theta for p in steps]))[:, None, None] * np.eye(d)
+    return us
+
+
+def _product(us: np.ndarray) -> np.ndarray:
+    """us[k-1] @ ... @ us[0], multiplied pairwise level by level, an odd last
+    factor carried up; the identity for an empty stack."""
+    while len(us) > 1:
+        pairs = us[1::2] @ us[:-1:2]
+        us = np.concatenate((pairs, us[-1:])) if len(us) % 2 else pairs
+    return us[0] if len(us) else np.eye(us.shape[-1], dtype=complex)
 
 
 def local_layer_unitary(layer: LocalLayer, n_atoms: int) -> np.ndarray:
     """Dense unitary of a rotation layer on an n-atom register, as a fresh
     array; IndexOutOfRange unless n_atoms is in 1..3 and holds every qubit."""
-    return _layer_unitaries([layer], GateSequence(n_atoms, (layer,)).n_atoms)[0]
+    return _product(_step_unitaries(GateSequence(n_atoms, (layer,))))
 
 
 def step_unitary(step: SequenceStep, n_atoms: int) -> np.ndarray:
     """Dense unitary of one step, collective steps compensated; IndexOutOfRange
     unless n_atoms is in 1..3 and holds the step's qubits."""
-    return _step_unitaries(GateSequence(n_atoms, (step,)))[0]
+    return _product(_step_unitaries(GateSequence(n_atoms, (step,))))
 
 
 def compose(seq: GateSequence, nbar: float = 0.0) -> np.ndarray:
-    """Multiply the step unitaries, first listed step acting first.
+    """Product of the sequence's factors, first listed step acting first,
+    multiplied pairwise level by level as `_product` does.
 
     Collective steps are compensated, so the result does not depend on
     nbar, which is only checked to be finite and >= 0.
     """
     _check_non_negative("nbar", nbar)
-    out = np.eye(2 ** seq.n_atoms, dtype=complex)
-    for u in _step_unitaries(seq):
-        out = u @ out
-    return out
+    return _product(_step_unitaries(seq))
 
 
 def collective_time(seq: GateSequence) -> float:

@@ -75,8 +75,8 @@ CASES = {
     "cnot3_sequence control = target": (lambda: cnot3_sequence(2, 2), InvalidQubits),
     "spin axis": (lambda: collective_op("w", 2), InvalidAxis),
     "zyz det != 1": (lambda: zyz_angles(2 * np.eye(2)), NotUnitary),
-    # det = 1 but not unitary: no z-y-z product reconstructs it
-    "zyz reconstruction": (lambda: zyz_angles(np.diag([2.0, 0.5])), CavityGatesError),
+    # det = 1 but not unitary: rejected up front, before any angle is taken
+    "zyz det = 1, not unitary": (lambda: zyz_angles(np.diag([2.0, 0.5])), NotUnitary),
     "named gate": (lambda: named_gate("nosuchgate"), CavityGatesError),
     "echo k < 0": (lambda: spin_echo_u23(+1, k=-1), InvalidBranch),
     "step kind": (lambda: sequence_from_json(_steps({"kind": "teleport"})), CavityGatesError),

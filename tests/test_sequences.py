@@ -61,21 +61,59 @@ def test_local_layer_per_qubit_order():
 
 
 def _eye_seeded_layer(layer, n_atoms):
-    """Reference: every qubit starts from its own identity, rotations
-    multiply into it, the factors are chained with np.kron."""
+    """Independent reference: every qubit starts from its own identity,
+    rotations multiply into it, the factors are chained with np.kron."""
     singles = [np.eye(2, dtype=complex) for _ in range(n_atoms)]
     for qubit, axis, angle in layer.rotations:
         singles[qubit - 1] = rotation(axis, angle) @ singles[qubit - 1]
     return reduce(np.kron, singles)
 
 
+def _factors(step, n_atoms):
+    """One step's factors from public one-matrix calls, in application order:
+    evolve, the phase times the identity, or per rotation a kron of
+    rotation(...) with identities on the other qubits."""
+    if isinstance(step, CollectiveEvolution):
+        return [evolve(n_atoms, step.phi, step.form)]
+    if isinstance(step, GlobalPhase):
+        return [np.exp(1j * step.theta) * np.eye(2 ** n_atoms, dtype=complex)]
+    return [
+        kron(*(rotation(axis, angle) if q == qubit else np.eye(2, dtype=complex)
+               for q in range(1, n_atoms + 1)))
+        for qubit, axis, angle in step.rotations
+    ]
+
+
+def _pairwise(factors, n_atoms):
+    """The product of 2-D factors (first acts first), paired as compose pairs
+    them: neighbours level by level, an odd last factor carried up."""
+    if not factors:
+        return np.eye(2 ** n_atoms, dtype=complex)
+    while len(factors) > 1:
+        pairs = [factors[i + 1] @ factors[i] for i in range(0, len(factors) - 1, 2)]
+        factors = pairs + factors[2 * len(pairs):]
+    return factors[0]
+
+
+#: Allowed distance of the pairwise product from an independent one-at-a-time
+#: product, per factor: a few eps, as both round each 8x8 product differently.
+EPS_PER_FACTOR = 4 * np.finfo(float).eps
+
+
+def _close(a, b, n_factors):
+    return np.abs(a - b).max() <= EPS_PER_FACTOR * max(n_factors, 1)
+
+
 def test_local_layer_is_bit_identical_to_eye_seeded_product():
+    # bit for bit the pairwise product of the per-rotation krons; the
+    # eye-seeded per-qubit product is an independent check to a few eps
     rng = np.random.default_rng(4)
     layers = [
         (1, LocalLayer(())),
         (3, LocalLayer(())),
         (3, LocalLayer(((2, "x", 0.3),))),  # qubits 1 and 3 untouched
         (2, LocalLayer(((1, "z", 0.3), (1, "y", 1.1), (1, "z", -2.0)))),
+        (3, LocalLayer(((3, "z", 0.3), (3, "y", 1.1), (3, "x", -2.0), (3, "y", 0.6), (3, "z", 4.4)))),
     ]
     for _ in range(300):
         n = int(rng.integers(1, 4))
@@ -85,7 +123,9 @@ def test_local_layer_is_bit_identical_to_eye_seeded_product():
         )
         layers.append((n, LocalLayer(rotations)))
     for n, layer in layers:
-        assert np.array_equal(local_layer_unitary(layer, n), _eye_seeded_layer(layer, n))
+        u = local_layer_unitary(layer, n)
+        assert np.array_equal(u, _pairwise(_factors(layer, n), n))
+        assert _close(u, _eye_seeded_layer(layer, n), len(layer.rotations))
 
 
 def test_mutating_a_layer_does_not_leak_into_the_next_call():
@@ -93,7 +133,7 @@ def test_mutating_a_layer_does_not_leak_into_the_next_call():
                      (3, LocalLayer(((2, "y", -0.2),)))):
         first = local_layer_unitary(layer, n)
         first[...] = 0.0
-        assert np.array_equal(local_layer_unitary(layer, n), _eye_seeded_layer(layer, n))
+        assert np.array_equal(local_layer_unitary(layer, n), _pairwise(_factors(layer, n), n))
 
 
 def test_local_layer_unitary_rejects_bad_axis():
@@ -229,32 +269,38 @@ def test_composed_sequences_are_nbar_independent():
         assert phase_distance(compose(seq, nbar=nbar), ref) < 1e-9
 
 
-def _reference_step(step, n_atoms):
-    """One step's unitary from public one-matrix calls: evolve, rotation, kron."""
-    if isinstance(step, CollectiveEvolution):
-        return evolve(n_atoms, step.phi, step.form)
-    if isinstance(step, GlobalPhase):
-        return np.exp(1j * step.theta) * np.eye(2 ** n_atoms, dtype=complex)
-    singles = [None] * n_atoms
-    for qubit, axis, angle in step.rotations:
-        prior, single = singles[qubit - 1], rotation(axis, angle)
-        singles[qubit - 1] = single if prior is None else single @ prior
-    return kron(*(np.eye(2, dtype=complex) if s is None else s for s in singles))
-
-
 def _reference_compose(seq):
-    out = np.eye(2 ** seq.n_atoms, dtype=complex)
+    """Independent reference: one matrix per step (a layer as its eye-seeded
+    per-qubit product), folded one product at a time."""
+    n = seq.n_atoms
+    out = np.eye(2 ** n, dtype=complex)
     for step in seq.steps:
-        out = _reference_step(step, seq.n_atoms) @ out
+        u = _eye_seeded_layer(step, n) if isinstance(step, LocalLayer) else _factors(step, n)[0]
+        out = u @ out
     return out
+
+
+def _layer(qubit, *pairs):
+    return LocalLayer(tuple((qubit, axis, angle) for axis, angle in pairs))
 
 
 @settings(max_examples=300, deadline=None)
 @given(sequences())
 @example(GateSequence(2))
 @example(GateSequence(3, (LocalLayer(()),)))
-@example(GateSequence(2, (LocalLayer(((2, "z", 0.3), (2, "y", 1.1), (2, "x", -2.0))),)))
-@example(GateSequence(3, (GlobalPhase(0.4), GlobalPhase(-1.3))))
+@example(GateSequence(2, (CollectiveEvolution(0.7, LADDER),)))  # 1 factor
+@example(GateSequence(3, (CollectiveEvolution(0.7, LADDER), GlobalPhase(0.2))))  # 2 factors
+@example(GateSequence(2, (LocalLayer(((2, "z", 0.3), (2, "y", 1.1), (2, "x", -2.0))),)))  # 3 factors
+@example(GateSequence(3, (  # 5 factors: the odd last one is carried up twice
+    CollectiveEvolution(0.7, LADDER), _layer(1, ("x", 0.2), ("z", 0.9)),
+    GlobalPhase(0.1), CollectiveEvolution(-0.3, CASIMIR),
+)))
+@example(GateSequence(3, (GlobalPhase(0.4), GlobalPhase(-1.3), GlobalPhase(2.2))))
+@example(GateSequence(3, (LocalLayer(()), CollectiveEvolution(0.5, CASIMIR), LocalLayer(()))))
+@example(GateSequence(3, (  # four or more on one qubit: pairwise is not sequential here
+    _layer(2, ("z", 0.3), ("y", 1.1), ("x", -2.0), ("y", 0.6), ("z", 4.4)),
+    CollectiveEvolution(2.1, CASIMIR), _layer(3, ("x", 1.7), ("y", -0.8), ("z", 2.5), ("x", 0.1)),
+)))
 @example(GateSequence(1, (
     CollectiveEvolution(0.7, LADDER), LocalLayer(((1, "x", 0.2), (1, "z", 0.9))),
     GlobalPhase(0.1), CollectiveEvolution(-0.3, CASIMIR),
@@ -264,9 +310,15 @@ def _reference_compose(seq):
     LocalLayer(((2, "y", 0.5), (3, "z", 1.0), (2, "x", 0.25))), CollectiveEvolution(-0.4, LADDER),
 )))
 def test_stacked_rendering_equals_the_one_matrix_fold(seq):
+    # bit for bit the 2-D pairwise product of the one-matrix factors; the
+    # sequential fold of one matrix per step is an independent check to a few eps
     n = seq.n_atoms
     for step in seq.steps:
-        assert np.array_equal(step_unitary(step, n), _reference_step(step, n))
+        factors = _factors(step, n)
+        assert np.array_equal(step_unitary(step, n), _pairwise(factors, n))
         if isinstance(step, LocalLayer):
-            assert np.array_equal(local_layer_unitary(step, n), _reference_step(step, n))
-    assert np.array_equal(compose(seq), _reference_compose(seq))
+            assert np.array_equal(local_layer_unitary(step, n), _pairwise(factors, n))
+    factors = [f for step in seq.steps for f in _factors(step, n)]
+    u = compose(seq)
+    assert np.array_equal(u, _pairwise(factors, n))
+    assert _close(u, _reference_compose(seq), len(factors))

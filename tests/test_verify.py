@@ -33,6 +33,16 @@ def test_round_trip_draws_match_sequential_haar_draws():
             assert np.array_equal(factor, haar_unitary(2, rng))
 
 
+def test_two_atom_evolution_metric_is_the_one_pulse_loop_bit_for_bit():
+    # the four stacked pulses give the metric of four evolve calls, to the bit
+    worst = 0.0
+    for phi in (0.0, np.pi / 8, np.pi / 4, 1.0):
+        u = evolution.evolve(2, phi, evolution.HamiltonianForm.LADDER)
+        worst = max(worst, float(np.abs(u - verify._u2_printed(phi)).max()))
+    metric = verify.check_two_atom_evolution().metrics[0].value
+    assert metric.hex() == worst.hex()
+
+
 def test_round_trip_pairs_are_cached_read_only_draws():
     cores, targets = verify._round_trip_pairs()
     assert verify._round_trip_pairs()[1] is targets
