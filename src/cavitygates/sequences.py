@@ -14,8 +14,9 @@ A sequence step is one of
   * GlobalPhase(theta): multiplies by e^{i theta}.
 
 Steps are listed in temporal order, the first acting first.  compose()
-renders one stack of factors (one per pulse, per rotation as a kron with
-identities, per phase) and multiplies neighbours pairwise, level by
+renders one stack of factors (one per pulse; one per rotation, its 2x2
+written into a zeroed factor where a kron with identities puts it; one
+per phase, on the diagonal) and multiplies neighbours pairwise, level by
 level; `step_unitary` runs the same path on one step.
 
 Each step checks its own fields when constructed: phi, angles and theta
@@ -28,6 +29,7 @@ known step types.  compose() adds only that nbar is finite and >= 0;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import fsum
 from typing import Union
 
@@ -35,8 +37,8 @@ import numpy as np
 
 from .errors import _check_finite, _check_non_negative, _check_qubit
 from .evolution import HamiltonianForm, _check_form, _pulses
-from .gates import _AXES, _IDENTITY, _check_rotation, _rotations
-from .linalg import kron
+from .gates import _AXES, _check_rotation, _rotations
+from .linalg import kron, read_only
 from .spin import _check_atoms
 
 
@@ -88,9 +90,20 @@ class GateSequence:
                 raise TypeError(f"unknown sequence step {step!r}")
 
 
+@lru_cache(maxsize=None)
+def _placements(n: int) -> np.ndarray:
+    """Read-only (n, 2, 2, d/2): the flat offsets in a d x d factor that entry (a, b)
+    of a 2x2 on each qubit fills, read off its kron with identities; n in 1..3."""
+    units = np.eye(4).reshape(4, 2, 2)
+    krons = np.array([kron(*(units if q == qubit else np.eye(2) for q in range(n)))
+                      for qubit in range(n)])
+    return read_only(krons.reshape(n, 2, 2, -1).nonzero()[3].reshape(n, 2, 2, -1))
+
+
 def _step_unitaries(seq: GateSequence) -> np.ndarray:
     """(k, d, d) stack of the factors in application order: one per pulse, one per
-    rotation (a kron with identities on the other qubits), one per global phase."""
+    rotation (its 2x2 written into a zeroed factor at `_placements`), one per
+    global phase (written onto the diagonal)."""
     n, d = seq.n_atoms, 2 ** seq.n_atoms
     k, pulses, rotations, phases = 0, [], [], []  # (position in the stack, step or fields)
     for step in seq.steps:
@@ -101,19 +114,20 @@ def _step_unitaries(seq: GateSequence) -> np.ndarray:
         else:
             (pulses if isinstance(step, CollectiveEvolution) else phases).append((k, step))
             k += 1
-    us = np.empty((k, d, d), dtype=complex)
+    us = np.zeros((k, d, d), dtype=complex)
+    flat = us.reshape(k, d * d)
     if pulses:
         at, steps = zip(*pulses)
-        us[list(at)] = _pulses(n, [p.form for p in steps], np.array([p.phi for p in steps]))
+        forms = [p.form for p in steps]
+        one = len(set(forms)) == 1  # one form takes _pulses' scalar index
+        us[list(at)] = _pulses(n, forms[0] if one else forms, np.array([p.phi for p in steps]))
     if rotations:
         at, qubits, axes, angles = zip(*rotations)
-        singles = np.empty((n, len(at), 2, 2), dtype=complex)
-        singles[...] = _IDENTITY
-        singles[qubits, np.arange(len(at))] = _rotations(list(axes), angles)
-        us[list(at)] = kron(*singles)
+        flat[np.array(at)[:, None, None, None], _placements(n)[list(qubits)]] = (
+            _rotations(list(axes), angles)[..., None])
     if phases:
         at, steps = zip(*phases)
-        us[list(at)] = np.exp(1j * np.array([p.theta for p in steps]))[:, None, None] * np.eye(d)
+        flat[list(at), ::d + 1] = np.exp(1j * np.array([p.theta for p in steps]))[:, None]
     return us
 
 

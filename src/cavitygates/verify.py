@@ -18,7 +18,7 @@ import numpy as np
 from . import evolution, gates, spin
 from .errors import CavityGatesError
 from .serialize import matrix_to_json
-from .evolution import HamiltonianForm, build_hamiltonian, compensation_layer, evolve, thermal_evolve
+from .evolution import HamiltonianForm, build_hamiltonian
 from .invariants import (
     are_equivalent,
     is_local,
@@ -213,24 +213,22 @@ def check_thermal_compensation() -> Report:
     """The compensation layer turns the thermal evolution into the ideal
     one wherever it is placed, and composed sequences are
     nbar-independent."""
-    worst_evolve = 0.0
-    worst_place = 0.0
+    worst_evolve = worst_place = 0.0
+    grid = [(form, nbar) for form in evolution._FORMS for nbar in (0.5, 3.7)]
+    coeffs = np.array([evolution._linear_coefficient(form, nbar) for form, nbar in grid])
     for n in (2, 3):
-        for form in HamiltonianForm:
-            base = evolve(n, 0.7, form)
-            h = build_hamiltonian(n, form, nbar=1.3, include_linear=True)
-            sz = spin.collective_op("z", n)
-            worst_place = max(
-                worst_place, float(np.abs(h @ sz - sz @ h).max())
-            )
-            for nbar in (0.5, 3.7):
-                raw = thermal_evolve(n, 0.7, form, nbar)
-                comp = compensation_layer(n, form, nbar, 0.7)
-                worst_evolve = max(worst_evolve, phase_distance(comp @ raw, base))
-                # compensation before, after, or split around the pulse
-                half = compensation_layer(n, form, nbar, 0.35)
-                for variant in (comp @ raw, raw @ comp, half @ raw @ half):
-                    worst_place = max(worst_place, float(np.abs(variant - base).max()))
+        # stacked over the (form, nbar) grid: the pulses, their thermal row scaling, and
+        # the compensation as a kron of rotations, never from e^{+i phi c S_z}
+        base = evolution._pulses(n, [form for form, _ in grid], np.full(len(grid), 0.7))
+        raw = np.exp(-1j * 0.7 * coeffs[:, None] * evolution._spectra(n)[3])[..., None] * base
+        comp, half = (kron(*[gates._rotations(2, -coeffs * phi)] * n) for phi in (0.7, 0.35))
+        worst_evolve = max(worst_evolve, float(phase_distance(comp @ raw, base).max()))
+        # compensation before, after, or split around the pulse
+        variants = np.array([comp @ raw, raw @ comp, half @ raw @ half])
+        sz = spin.collective_op("z", n)
+        h = np.array([build_hamiltonian(n, f, 1.3, include_linear=True) for f in evolution._FORMS])
+        worst_place = max(worst_place, float(np.abs(h @ sz - sz @ h).max()),
+                          float(np.abs(variants - base).max()))
     worst_seq = 0.0
     for seq in (cnot2_sequence(), spin_echo_u23(+1), cnot3_sequence(2, 3)):
         ref = compose(seq, nbar=0.0)

@@ -11,6 +11,7 @@ from cavitygates.evolution import (
     CavityParams,
     HamiltonianForm,
     _FORMS,
+    _pulses,
     _spectra,
     build_hamiltonian,
     compensation_layer,
@@ -249,6 +250,14 @@ def test_cached_spectrum_is_read_only(n, form):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("form", list(HamiltonianForm))
+def test_one_form_pulses_equal_the_per_pulse_form_list(n, form):
+    # compose passes a single-form sequence's form as the scalar index
+    phis = np.array([0.0, 0.7, -2.1, np.pi / 4, 5.5])
+    assert np.array_equal(_pulses(n, form, phis), _pulses(n, [form] * len(phis), phis))
 
 
 def test_mutating_a_result_does_not_leak_into_the_next_call():

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from functools import partial, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import cavitygates
 from cavitygates.errors import (
     CavityGatesError,
     IndexOutOfRange,
@@ -20,6 +25,7 @@ from cavitygates.sequences import (
     GateSequence,
     GlobalPhase,
     LocalLayer,
+    _placements,
     collective_time,
     compose,
     local_layer_unitary,
@@ -134,6 +140,49 @@ def test_mutating_a_layer_does_not_leak_into_the_next_call():
         first = local_layer_unitary(layer, n)
         first[...] = 0.0
         assert np.array_equal(local_layer_unitary(layer, n), _pairwise(_factors(layer, n), n))
+
+
+#: Placement angles: the axis points, where cos or sin of the half angle is 0 or
+#: +-1 to rounding, and a few drawn ones.
+PLACEMENT_ANGLES = (0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2,
+                    *np.random.default_rng(14).uniform(-10.0, 10.0, 4))
+
+
+def _bytes(u):
+    """u's bytes with -0.0 read as +0.0: a factor written into zeros holds +0.0
+    where the complex products of a kron with identities may round to -0.0."""
+    return (u + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_rotation_is_written_where_its_kron_with_identities_puts_it(n):
+    for qubit in range(1, n + 1):
+        for axis in "xyz":
+            for angle in PLACEMENT_ANGLES:
+                placed = kron(*(rotation(axis, angle) if q == qubit else np.eye(2)
+                                for q in range(1, n + 1)))
+                u = step_unitary(LocalLayer(((qubit, axis, angle),)), n)
+                assert _bytes(u) == _bytes(placed), (qubit, axis, angle)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_global_phase_is_written_onto_the_diagonal(n):
+    for theta in PLACEMENT_ANGLES:
+        u = step_unitary(GlobalPhase(theta), n)
+        assert _bytes(u) == _bytes(np.exp(1j * theta) * np.eye(2 ** n)), theta
+
+
+def test_placement_table_is_read_only_and_built_on_first_use():
+    src = str(Path(cavitygates.__file__).resolve().parents[1])
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import cavitygates.sequences as s; assert s._placements.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    for n in (1, 2, 3):
+        table = _placements(n)
+        assert table.shape == (n, 2, 2, 2 ** (n - 1)) and _placements(n) is table
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_local_layer_unitary_rejects_bad_axis():

@@ -43,6 +43,28 @@ def test_two_atom_evolution_metric_is_the_one_pulse_loop_bit_for_bit():
     assert metric.hex() == worst.hex()
 
 
+def test_thermal_compensation_metrics_are_the_one_matrix_loop_bit_for_bit():
+    # the stacked (form, nbar) grids give the first two metrics of one evolve,
+    # thermal_evolve and compensation_layer call per point, to the bit
+    worst_evolve = worst_place = 0.0
+    for n in (2, 3):
+        for form in evolution.HamiltonianForm:
+            base = evolution.evolve(n, 0.7, form)
+            h = evolution.build_hamiltonian(n, form, nbar=1.3, include_linear=True)
+            sz = spin.collective_op("z", n)
+            worst_place = max(worst_place, float(np.abs(h @ sz - sz @ h).max()))
+            for nbar in (0.5, 3.7):
+                raw = evolution.thermal_evolve(n, 0.7, form, nbar)
+                comp = evolution.compensation_layer(n, form, nbar, 0.7)
+                half = evolution.compensation_layer(n, form, nbar, 0.35)
+                worst_evolve = max(worst_evolve, linalg.phase_distance(comp @ raw, base))
+                for variant in (comp @ raw, raw @ comp, half @ raw @ half):
+                    worst_place = max(worst_place, float(np.abs(variant - base).max()))
+    metrics = verify.check_thermal_compensation().metrics
+    assert metrics[0].value.hex() == worst_evolve.hex()
+    assert metrics[1].value.hex() == worst_place.hex()
+
+
 def test_round_trip_pairs_are_cached_read_only_draws():
     cores, targets = verify._round_trip_pairs()
     assert verify._round_trip_pairs()[1] is targets
