@@ -21,10 +21,10 @@ seconds enter only through `coupling_eta` for reporting.
 `evolve` is the ideal evolution under the linear-free Hamiltonian, and
 so also the compensated one for every nbar; all gate sequences use it.
 `thermal_evolve` keeps the linear term, as the raw reference the
-compensation layer must undo.  The linear-free Hamiltonian is
-diagonalized once per (atom count, form); every pulse is then
-V e^{-i phi Lambda} V^dagger, and since S_z is diagonal the thermal
-term only scales its rows by phases.
+compensation layer must undo.  Every pulse is exp(-i phi (S^2 - S_z^2
++ k S_z)): k = 1 (ladder), 0 (Casimir), 2 nbar + 1 (thermal, either
+form).  So one cached joint eigenbasis V of S^2 and S_z per atom count
+renders them all, as V e^{-i phi W} V^dagger with W = s2 - m^2 + k m.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -163,25 +164,27 @@ def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -
     return kron(*[single] * _check_atoms(n))
 
 
-_FORMS = tuple(HamiltonianForm)
+#: k of each form's linear-free Hamiltonian S^2 - S_z^2 + k S_z.
+_OWN_SZ = {HamiltonianForm.LADDER: 1.0, HamiltonianForm.CASIMIR: 0.0}
 
 
 @lru_cache(maxsize=None)
-def _spectra(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only (w, v, v^dagger) of the linear-free Hamiltonian, stacked
-    over the forms as _FORMS, and the diagonal of S_z; n is validated by the caller."""
-    spectra = hermitian_spectrum([build_hamiltonian(n, form) for form in _FORMS])
-    sz = np.diag(collective_op("z", n)).real.copy()
-    return tuple(read_only(a) for a in (*spectra, sz))
+def _basis(n: int) -> tuple:
+    """Read-only (v, v^dagger, m, rows) of n checked atoms: v diagonalizes S^2 and S_z, with
+    eigenvalues s2 and m read as exact quarter-integers; rows[form] = s2 - m^2 + _OWN_SZ[form] m."""
+    sz = collective_op("z", n)
+    _, v, vh = hermitian_spectrum(s_squared(n) + sz / 2)  # sorted by j(j+1) + m/2, 1:1 for n <= 3
+    s2, m = (np.round(4 * np.diagonal(vh @ op @ v).real) / 4 for op in (s_squared(n), sz))
+    rows = MappingProxyType({form: read_only(s2 - m * m + k * m) for form, k in _OWN_SZ.items()})
+    return read_only(v), read_only(vh), read_only(m), rows
 
 
-def _pulses(n: int, forms, phis) -> np.ndarray:
-    """exp(-i phi H_0) in one expm_spectral call over _spectra(n); forms is one
-    HamiltonianForm, broadcast over phis, or a sequence with one form per phi."""
-    w, v, vh, _ = _spectra(n)
-    one = isinstance(forms, HamiltonianForm)
-    i = _FORMS.index(forms) if one else np.array([_FORMS.index(f) for f in forms])
-    return expm_spectral(w[i], v[i], vh[i], phis)
+def _pulses(n: int, forms, phis, c=None) -> np.ndarray:
+    """exp(-i phi (H_0 + c S_z)) per form in one expm_spectral call in `_basis(n)`: the forms'
+    cached exponent rows, stacked, plus c m if c (a scalar or one per form) is given."""
+    v, vh, m, rows = _basis(n)
+    w = np.array([rows[form] for form in forms])
+    return expm_spectral(w if c is None else w + np.multiply.outer(c, m), v, vh, phis)
 
 
 def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
@@ -197,16 +200,16 @@ def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
     n = _check_atoms(n)
     _check_form(form)
     _check_finite("phi", phi)
-    return _pulses(n, form, phi)
+    return _pulses(n, (form,), phi)[0]
 
 
 def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np.ndarray:
     """Raw thermal evolution exp(-i phi (H_0 + c S_z)), as a fresh array.
 
     c = 2 nbar (ladder) or 2 nbar + 1 (Casimir).  c S_z commutes with
-    H_0, so this is `evolve` with its rows scaled by e^{-i phi c S_z},
-    and the per-qubit compensation R_z(-c phi) = e^{+i phi c S_z} undoes
-    it exactly, before, after or split around the pulse:
+    H_0, so this is `evolve` with c m added to its diagonal exponent, and
+    the per-qubit compensation R_z(-c phi) = e^{+i phi c S_z} undoes it
+    exactly, before, after or split around the pulse:
 
         compensation_layer(n, form, nbar, phi) @ thermal_evolve(n, phi, form, nbar)
             == evolve(n, phi, form)
@@ -215,6 +218,6 @@ def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np
         NonFiniteValue: if phi or nbar is NaN or infinite.
         DegenerateParams: if nbar is negative.
     """
-    u = evolve(n, phi, form)
-    sz = _spectra(n)[3]
-    return np.exp(-1j * phi * _linear_coefficient(form, nbar) * sz)[:, None] * u
+    n = _check_atoms(n)
+    _check_finite("phi", phi)
+    return _pulses(n, (form,), phi, _linear_coefficient(form, nbar))[0]  # checks form, nbar

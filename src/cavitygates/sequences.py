@@ -4,9 +4,9 @@ A sequence step is one of
 
   * CollectiveEvolution(phi, form): the fixed collective interaction for
     dimensionless time phi = eta t, with the linear S_z terms understood
-    to be compensated away.  compose() renders it as the ideal
-    `evolve`, which equals the compensated thermal evolution for every
-    mean photon number.
+    to be compensated away.  compose() renders it as `evolve` does, by
+    its form's exponent row in the eigenbasis `thermal_evolve` shares;
+    the ideal pulse equals the compensated thermal one for every nbar.
   * LocalLayer(rotations): single-qubit rotations, stored as (qubit,
     axis, angle) triples in application order; rotations on distinct
     qubits commute.  Assumed instantaneous relative to the collective
@@ -101,9 +101,9 @@ def _placements(n: int) -> np.ndarray:
 
 
 def _step_unitaries(seq: GateSequence) -> np.ndarray:
-    """(k, d, d) stack of the factors in application order: one per pulse, one per
-    rotation (its 2x2 written into a zeroed factor at `_placements`), one per
-    global phase (written onto the diagonal)."""
+    """(k, d, d) stack of the factors in application order: one per pulse (all in one
+    `_pulses` call), one per rotation (its 2x2 written into a zeroed factor at
+    `_placements`), one per global phase (written onto the diagonal)."""
     n, d = seq.n_atoms, 2 ** seq.n_atoms
     k, pulses, rotations, phases = 0, [], [], []  # (position in the stack, step or fields)
     for step in seq.steps:
@@ -118,9 +118,7 @@ def _step_unitaries(seq: GateSequence) -> np.ndarray:
     flat = us.reshape(k, d * d)
     if pulses:
         at, steps = zip(*pulses)
-        forms = [p.form for p in steps]
-        one = len(set(forms)) == 1  # one form takes _pulses' scalar index
-        us[list(at)] = _pulses(n, forms[0] if one else forms, np.array([p.phi for p in steps]))
+        us[list(at)] = _pulses(n, [p.form for p in steps], np.array([p.phi for p in steps]))
     if rotations:
         at, qubits, axes, angles = zip(*rotations)
         flat[np.array(at)[:, None, None, None], _placements(n)[list(qubits)]] = (

@@ -132,8 +132,8 @@ def spin_echo_u23(branch: int, k: int = 0) -> GateSequence:
     U23 = exp(-i pi/3 sigma_z x sigma_z); branch = -1 gives its adjoint
     (branch 0 would be the identity and is rejected).
     """
-    if branch not in (-1, 1):
-        raise InvalidBranch(f"branch must be +1 or -1, got {branch}")
+    if not isinstance(branch, (int, np.integer)) or branch not in (-1, 1):
+        raise InvalidBranch(f"branch must be the integer +1 or -1, got {branch!r}")
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise InvalidBranch(f"k must be a non-negative integer, got {k}")
     return GateSequence(

@@ -77,7 +77,7 @@ def _u2_printed(phi: float) -> np.ndarray:
 def check_two_atom_evolution() -> Report:
     """Two-atom evolution matches its closed form entrywise."""
     phis = (0.0, pi / 8, pi / 4, 1.0)
-    us = evolution._pulses(2, HamiltonianForm.LADDER, np.array(phis))
+    us = evolution._pulses(2, [HamiltonianForm.LADDER] * len(phis), np.array(phis))
     worst = max(float(np.abs(u - _u2_printed(phi)).max()) for u, phi in zip(us, phis))
     return Report(
         "two-atom evolution closed form",
@@ -88,7 +88,7 @@ def check_two_atom_evolution() -> Report:
 def check_invariant_curve() -> Report:
     """Invariants of the two-atom evolution follow (cos^4, 4cos^2 - 1)."""
     phis = np.linspace(0.0, pi, 50)
-    g1, g2 = local_invariants(evolution._pulses(2, HamiltonianForm.LADDER, phis))
+    g1, g2 = local_invariants(evolution._pulses(2, [HamiltonianForm.LADDER] * len(phis), phis))
     # a scalar power per phase: numpy's vectorized x ** 4 rounds unlike it
     cos4 = np.array([np.cos(phi) ** 4 for phi in phis])
     worst = max(_modulus(g1 - cos4).max(), _modulus(g2 - (4 * np.cos(phis) ** 2 - 1)).max())
@@ -214,19 +214,18 @@ def check_thermal_compensation() -> Report:
     one wherever it is placed, and composed sequences are
     nbar-independent."""
     worst_evolve = worst_place = 0.0
-    grid = [(form, nbar) for form in evolution._FORMS for nbar in (0.5, 3.7)]
+    grid = [(form, nbar) for form in HamiltonianForm for nbar in (0.5, 3.7)]
     coeffs = np.array([evolution._linear_coefficient(form, nbar) for form, nbar in grid])
     for n in (2, 3):
-        # stacked over the (form, nbar) grid: the pulses, their thermal row scaling, and
-        # the compensation as a kron of rotations, never from e^{+i phi c S_z}
-        base = evolution._pulses(n, [form for form, _ in grid], np.full(len(grid), 0.7))
-        raw = np.exp(-1j * 0.7 * coeffs[:, None] * evolution._spectra(n)[3])[..., None] * base
+        # stacked over the (form, nbar) grid: the pulses, the thermal ones (c m added to their
+        # exponent rows), and the compensation as a kron of rotations, never from e^{+i phi c S_z}
+        base, raw = (evolution._pulses(n, [f for f, _ in grid], 0.7, c) for c in (None, coeffs))
         comp, half = (kron(*[gates._rotations(2, -coeffs * phi)] * n) for phi in (0.7, 0.35))
         worst_evolve = max(worst_evolve, float(phase_distance(comp @ raw, base).max()))
         # compensation before, after, or split around the pulse
         variants = np.array([comp @ raw, raw @ comp, half @ raw @ half])
         sz = spin.collective_op("z", n)
-        h = np.array([build_hamiltonian(n, f, 1.3, include_linear=True) for f in evolution._FORMS])
+        h = np.array([build_hamiltonian(n, f, 1.3, include_linear=True) for f in HamiltonianForm])
         worst_place = max(worst_place, float(np.abs(h @ sz - sz @ h).max()),
                           float(np.abs(variants - base).max()))
     worst_seq = 0.0

@@ -79,6 +79,9 @@ CASES = {
     "zyz det = 1, not unitary": (lambda: zyz_angles(np.diag([2.0, 0.5])), NotUnitary),
     "named gate": (lambda: named_gate("nosuchgate"), CavityGatesError),
     "echo k < 0": (lambda: spin_echo_u23(+1, k=-1), InvalidBranch),
+    # a float branch equal to +-1 is not an integer either
+    "echo branch 1.0": (lambda: spin_echo_u23(1.0), InvalidBranch),
+    "echo branch float64(-1)": (lambda: spin_echo_u23(np.float64(-1)), InvalidBranch),
     "step kind": (lambda: sequence_from_json(_steps({"kind": "teleport"})), CavityGatesError),
     "form string": (
         lambda: sequence_from_json(_steps({"kind": "evolve", "phi": 0.25, "form": "bogus"})),

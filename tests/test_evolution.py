@@ -10,9 +10,9 @@ from cavitygates.errors import DegenerateParams, IndexOutOfRange, InvalidForm, N
 from cavitygates.evolution import (
     CavityParams,
     HamiltonianForm,
-    _FORMS,
+    _basis,
+    _linear_coefficient,
     _pulses,
-    _spectra,
     build_hamiltonian,
     compensation_layer,
     compensation_rotation,
@@ -30,7 +30,7 @@ from cavitygates.sequences import (
     local_layer_unitary,
     step_unitary,
 )
-from cavitygates.spin import dicke_projector_g
+from cavitygates.spin import collective_op, dicke_projector_g, s_squared
 from cavitygates.synthesis import cnot2_sequence
 
 LADDER = HamiltonianForm.LADDER
@@ -243,21 +243,44 @@ def test_build_hamiltonian_rejects_non_finite_nbar(form, nbar):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("form", list(HamiltonianForm))
 def test_cached_spectrum_is_read_only(n, form):
-    # the stacks over both forms, and the one form's items indexed from them
-    w, v, vh, sz = _spectra(n)
-    i = _FORMS.index(form)
-    for array in (w, v, vh, sz, w[i], v[i], vh[i]):
+    # the one basis, the S_z eigenvalues, the form's exponent row, and the map of rows
+    v, vh, m, rows = _basis(n)
+    for array in (v, vh, m, rows[form]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+    with pytest.raises(TypeError):
+        rows[form] = m
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("form", list(HamiltonianForm))
-def test_one_form_pulses_equal_the_per_pulse_form_list(n, form):
-    # compose passes a single-form sequence's form as the scalar index
+def test_basis_diagonalizes_s_squared_and_sz(n):
+    v, vh, m, rows = _basis(n)
+    sz = collective_op("z", n)
+    for op, eigenvalues in ((s_squared(n), rows[CASIMIR] + m * m), (sz, m)):
+        d = vh @ op @ v
+        assert np.abs(d - np.diag(np.diagonal(d))).max() < 1e-15
+        assert np.abs(np.diagonal(d) - eigenvalues).max() < 1e-14
+    s2 = rows[CASIMIR] + m * m
+    # the columns come sorted by j(j+1) + m/2, the eigenvalue of S^2 + S_z / 2 that tells
+    # every (j, m) apart; an eigenbasis of S^2 alone is ordered by j only
+    assert np.all(np.diff(s2 + m / 2) >= 0)
+    # the eigenvalues are exact quarter-integers, and each form's row is exactly its k
+    assert np.array_equal(4 * s2, np.round(4 * s2))
+    assert np.array_equal(2 * m, np.round(2 * m))
+    assert np.array_equal(rows[LADDER], s2 - m * m + m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_pulse_stack_is_the_per_pulse_calls_bit_for_bit(n):
+    forms = [LADDER, CASIMIR, CASIMIR, LADDER, CASIMIR]
     phis = np.array([0.0, 0.7, -2.1, np.pi / 4, 5.5])
-    assert np.array_equal(_pulses(n, form, phis), _pulses(n, [form] * len(phis), phis))
+    nbars = np.array([0.0, 0.5, 3.7, 1.25, 10.0])
+    coeffs = np.array([_linear_coefficient(f, nbar) for f, nbar in zip(forms, nbars)])
+    ideal = [evolve(n, phi, f) for f, phi in zip(forms, phis)]
+    thermal = [thermal_evolve(n, phi, f, nbar) for f, phi, nbar in zip(forms, phis, nbars)]
+    assert np.array_equal(_pulses(n, forms, phis), ideal)
+    assert np.array_equal(_pulses(n, forms, phis, coeffs), thermal)
 
 
 def test_mutating_a_result_does_not_leak_into_the_next_call():
