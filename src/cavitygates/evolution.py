@@ -164,18 +164,15 @@ def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -
     return kron(*[single] * _check_atoms(n))
 
 
-#: k of each form's linear-free Hamiltonian S^2 - S_z^2 + k S_z.
-_OWN_SZ = {HamiltonianForm.LADDER: 1.0, HamiltonianForm.CASIMIR: 0.0}
-
-
 @lru_cache(maxsize=None)
 def _basis(n: int) -> tuple:
     """Read-only (v, v^dagger, m, rows) of n checked atoms: v diagonalizes S^2 and S_z, with
-    eigenvalues s2 and m read as exact quarter-integers; rows[form] = s2 - m^2 + _OWN_SZ[form] m."""
+    quarter-integer eigenvalues s2 and m; rows[form] = s2 - m^2 + k m, k = 1 - c(form, nbar=0)."""
     sz = collective_op("z", n)
     _, v, vh = hermitian_spectrum(s_squared(n) + sz / 2)  # sorted by j(j+1) + m/2, 1:1 for n <= 3
     s2, m = (np.round(4 * np.diagonal(vh @ op @ v).real) / 4 for op in (s_squared(n), sz))
-    rows = MappingProxyType({form: read_only(s2 - m * m + k * m) for form, k in _OWN_SZ.items()})
+    own_sz = ((form, 1.0 - _linear_coefficient(form, 0.0)) for form in HamiltonianForm)
+    rows = MappingProxyType({form: read_only(s2 - m * m + k * m) for form, k in own_sz})
     return read_only(v), read_only(vh), read_only(m), rows
 
 

@@ -18,15 +18,16 @@ def haar_unitary(dim, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def cnot2_core():
-    """U(pi/4) (R_y(pi) x 1) U(pi/4), the two-atom CNOT-class core."""
-    u = evolve(2, np.pi / 4, HamiltonianForm.LADDER)
+def cnot2_core(dphi=0.0):
+    """U(pi/4) (R_y(pi) x 1) U(pi/4), the two-atom CNOT-class core, pulses off by dphi."""
+    u = evolve(2, np.pi / 4 + dphi, HamiltonianForm.LADDER)
     return u @ kron(rotation("y", np.pi), np.eye(2)) @ u
 
 
-def cnot3_core():
-    """U23 (1 x R_y(phi_f)) U23, the three-atom CNOT-class core on atoms 2 and 3."""
-    return u23_gate() @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE)) @ u23_gate()
+def cnot3_core(dphi=0.0):
+    """U23 (1 x R_y(phi_f)) U23, the three-atom CNOT-class core on atoms 2 and 3,
+    middle pulse off by dphi."""
+    return u23_gate() @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE + dphi)) @ u23_gate()
 
 
 def perturbed(u, rng, eps=None):

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import IndexOutOfRange, InvalidAxis, NonFiniteValue, NotUnitary
+from cavitygates.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidAxis,
+    NonFiniteValue,
+    NotUnitary,
+)
 from cavitygates.gates import (
     SIGMA_X,
     SIGMA_Y,
@@ -162,6 +168,12 @@ def test_zyz_rejects_non_su2():
 def test_zyz_rejects_non_unitary_input_of_unit_determinant():
     with pytest.raises(NotUnitary):
         zyz_angles(np.diag([2.0, 0.5]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 2, 2)])
+def test_zyz_rejects_anything_but_one_2x2_matrix(shape):
+    with pytest.raises(DimensionMismatch, match="expects a 2x2 matrix"):
+        zyz_angles(np.broadcast_to(np.eye(shape[-1]), shape))
 
 
 def _zyz(a, b, c):

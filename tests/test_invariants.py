@@ -133,6 +133,12 @@ def test_factor_local_roundtrip(rng):
         factor_local(cnot_gate())
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4, 4)])
+def test_factor_local_rejects_anything_but_one_4x4_gate(shape):
+    with pytest.raises(DimensionMismatch, match="expected a 4x4 gate"):
+        factor_local(np.broadcast_to(np.eye(shape[-1]), shape))
+
+
 @pytest.mark.parametrize("theta", np.linspace(np.pi, 2 * np.pi, 9)[1:-1])
 def test_factor_local_sign_rule(theta, rng):
     # R_y(theta) has tr = 2 cos(theta / 2) < 0 here: the factor must come

@@ -36,6 +36,8 @@ def test_matrix_json_round_trip(rng):
 def test_matrix_json_validation():
     with pytest.raises(DimensionMismatch):
         matrix_to_json(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch, match="one square matrix"):
+        matrix_to_json(np.zeros((2, 2, 2)))  # a stack of square matrices
     with pytest.raises(DimensionMismatch):
         matrix_from_json({"dim": 3, "re": [[0, 0], [0, 0]], "im": [[0, 0], [0, 0]]})
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cavitygates.errors import InvalidBranch, InvalidQubits, NotFactorable
+from cavitygates.errors import InvalidBranch, InvalidQubits, NotEquivalent, NotFactorable
 from cavitygates.evolution import HamiltonianForm
 from cavitygates.gates import cnot_gate, controlled_not, toffoli_gate, u23_gate
 from cavitygates.invariants import LocalCorrectionPair, local_invariants
-from cavitygates.linalg import is_unitary, kron, phase_distance
+from cavitygates.linalg import DEFAULT_TOL, is_unitary, kron, phase_distance
 from cavitygates.sequences import (
     CollectiveEvolution,
     GateSequence,
@@ -14,6 +14,7 @@ from cavitygates.sequences import (
     LocalLayer,
     collective_time,
     compose,
+    local_layer_unitary,
 )
 from cavitygates import synthesis
 from cavitygates.synthesis import (
@@ -25,6 +26,12 @@ from cavitygates.synthesis import (
 )
 
 from conftest import cnot2_core, cnot3_core, perturbed
+
+CORES = pytest.mark.parametrize(
+    "core, phase_step",
+    [(cnot2_core, synthesis.CNOT2_GLOBAL_PHASE), (cnot3_core, synthesis.CNOT3_GLOBAL_PHASE)],
+    ids=["cnot2", "cnot3"],
+)
 
 
 # -- two atoms -----------------------------------------------------------
@@ -61,7 +68,7 @@ def test_correction_rejects_a_residual_phase_other_than_sign(monkeypatch, resolv
     # (i O, O', -i phase) is a valid pair too, but SU(2) layers cannot carry i
     turned = _solver_returning(lambda p: LocalCorrectionPair(1j * p.o, p.o_prime, -1j * p.phase))
     monkeypatch.setattr(synthesis, "solve_local_corrections", turned)
-    with pytest.raises(NotFactorable):
+    with pytest.raises(NotFactorable, match="cannot absorb phase"):
         cnot2_sequence()
 
 
@@ -142,9 +149,10 @@ def test_spin_echo_identity_branch_math():
 
 
 def test_spin_echo_rejects_bad_branch():
-    for branch in (0, 2, -3):
+    # bool is an int subclass: True would otherwise pass as branch +1 or as k = 1
+    for branch, k in ((0, 0), (2, 0), (-3, 0), (True, 0), (-1, True), (1, False)):
         with pytest.raises(InvalidBranch):
-            spin_echo_u23(branch)
+            spin_echo_u23(branch, k)
     with pytest.raises(ValueError):
         spin_echo_u23(+1, k=-1)
 
@@ -153,11 +161,14 @@ def test_extract_factor_reference_cases():
     assert_allclose(extract_factor(kron(np.eye(2), cnot_gate())), cnot_gate())
     assert_allclose(extract_factor(np.eye(8)), np.eye(4))
     with pytest.raises(NotFactorable):
-        extract_factor(controlled_not(3, 1, 3))  # atom 1 entangled
+        extract_factor(controlled_not(3, 1, 3))  # atom 1 controls: diagonal blocks differ
     with pytest.raises(NotFactorable):
         extract_factor(kron(np.diag([1, 1j]), cnot_gate()))  # blocks differ
     with pytest.raises(NotFactorable):
         extract_factor(np.eye(4))
+    # atom 1 flipped by atom 2: equal diagonal blocks, off-diagonal blocks of norm 1
+    with pytest.raises(NotFactorable, match="off-diagonal"):
+        extract_factor(controlled_not(3, 2, 1))
 
 
 # -- three atoms ---------------------------------------------------------
@@ -282,17 +293,13 @@ def test_cnot3_labellings_relabel_one_correction_pair():
             assert {q for q, _, _ in seq.steps[i].rotations} <= {control, target}
 
 
-@pytest.mark.parametrize(
-    "core, phase_step",
-    [(cnot2_core, synthesis.CNOT2_GLOBAL_PHASE), (cnot3_core, synthesis.CNOT3_GLOBAL_PHASE)],
-    ids=["cnot2", "cnot3"],
-)
+@CORES
 def test_corrections_are_continuous_in_the_core(core, phase_step, rng):
     # the CNOT class is degenerate: rounding noise in a core must not pick
     # another member of the family of valid corrections
     def solve(u):
-        layers = synthesis._correction_layers(u, phase_step, (1, 2))
-        rotations = [r for layer in layers for r in layer.rotations]
+        pre, post, _ = synthesis._correction_layers(u, phase_step, (1, 2))
+        rotations = [r for layer in (pre, post) for r in layer.rotations]
         return [(q, axis) for q, axis, _ in rotations], np.array([a for _, _, a in rotations])
 
     structure, angles = solve(core())
@@ -303,9 +310,36 @@ def test_corrections_are_continuous_in_the_core(core, phase_step, rng):
         assert np.abs((got - angles + 2 * np.pi) % (4 * np.pi) - 2 * np.pi).max() <= 1e-9
 
 
-def test_a_core_far_outside_the_tested_range_raises_not_factorable(rng):
-    # the known limit in the synthesis docstring: at eps = 1e-8 the residual
-    # phase of the solved pair is about 1e-9 off +-1, a typed error
-    core = perturbed(cnot2_core(), rng, eps=1e-8)
-    with pytest.raises(NotFactorable, match="residual phase"):
-        synthesis._correction_layers(core, synthesis.CNOT2_GLOBAL_PHASE, (1, 2))
+def _composed(core, phase_step):
+    """e^{i theta} post @ core @ pre for the solved corrections of core."""
+    pre, post, theta = synthesis._correction_layers(core, phase_step, (1, 2))
+    return np.exp(1j * theta) * local_layer_unitary(post, 2) @ core @ local_layer_unitary(pre, 2)
+
+
+@pytest.mark.parametrize("decade", [-11, -10, -9])
+@CORES
+def test_corrections_stay_exact_beyond_the_continuous_range(core, phase_step, decade, rng):
+    # past eps = 1e-11 the layers may jump to another valid correction, and the
+    # core's own global phase goes into theta; the gate stays exact to about eps
+    for _ in range(200):
+        eps = 10.0 ** rng.uniform(decade, decade + 1)
+        gate = _composed(perturbed(core(), rng, eps=eps), phase_step)
+        assert np.abs(gate - cnot_gate()).max() <= 10 * eps
+
+
+@CORES
+@pytest.mark.parametrize("alpha", [1e-8, 0.3, -2.0, 2.5])
+def test_a_core_global_phase_goes_into_theta(core, phase_step, alpha):
+    # a global phase on the core, small or large, comes out in theta: the
+    # composed gate stays exact, where dropping the pair's residual phase is not
+    assert np.abs(_composed(np.exp(1j * alpha) * core(), phase_step) - cnot_gate()).max() < 1e-12
+
+
+@CORES
+def test_a_core_outside_the_cnot_class_raises_not_equivalent(core, phase_step):
+    # the invariants are stationary in the pulse phase at CNOT, so an offset of
+    # 1e-4 moves them by about 1e-8, past DEFAULT_TOL: the one edge of synthesis
+    off = core(dphi=1e-4)
+    assert max(abs(a - b) for a, b in zip(local_invariants(off), (0, 1))) > DEFAULT_TOL
+    with pytest.raises(NotEquivalent):
+        synthesis._correction_layers(off, phase_step, (1, 2))
