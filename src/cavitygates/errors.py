@@ -74,14 +74,19 @@ def _check_non_negative(name: str, value: float) -> None:
         raise DegenerateParams(f"{name} must be >= 0, got {value}")
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not an integer here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_qubit(qubit: int, n_atoms: float = inf) -> None:
     """Raise IndexOutOfRange unless qubit is an integer in 1..n_atoms."""
-    if not isinstance(qubit, (int, np.integer)) or not 1 <= qubit <= n_atoms:
+    if not _is_integer(qubit) or not 1 <= qubit <= n_atoms:
         raise IndexOutOfRange(f"qubit must be an integer in 1..{n_atoms}, got {qubit!r}")
 
 
 def _check_control_target(control: int, target: int, n_qubits: int) -> None:
     """Raise InvalidQubits unless control and target are distinct integers in 1..n_qubits."""
-    integers = isinstance(control, (int, np.integer)) and isinstance(target, (int, np.integer))
+    integers = all(_is_integer(x) for x in (n_qubits, control, target))
     if control == target or not (integers and 1 <= control <= n_qubits and 1 <= target <= n_qubits):
         raise InvalidQubits(f"control, target must be distinct in 1..{n_qubits}: {control}, {target}")

@@ -22,7 +22,7 @@ from functools import wraps
 
 import numpy as np
 
-from .errors import CavityGatesError, DimensionMismatch
+from .errors import CavityGatesError, DimensionMismatch, _is_integer
 from .evolution import CavityParams, HamiltonianForm
 from .invariants import LocalInvariants
 from .linalg import _as_stack
@@ -71,7 +71,7 @@ def matrix_to_json(u) -> dict:
 @_typed
 def matrix_from_json(data: dict) -> np.ndarray:
     dim = _field(data, "dim")
-    if not isinstance(dim, int) or isinstance(dim, bool):
+    if not _is_integer(dim):
         raise CavityGatesError(f"dim must be an integer, got {dim!r}")
     re = np.asarray(_field(data, "re"), dtype=float)
     im = np.asarray(_field(data, "im"), dtype=float)

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gates
-from .errors import IndexOutOfRange, InvalidAxis, _check_qubit
+from .errors import IndexOutOfRange, InvalidAxis, _check_qubit, _is_integer
 from .linalg import kron, read_only
 
 _SIGMA = {
@@ -33,7 +33,7 @@ MAX_ATOMS = 3
 
 
 def _check_atoms(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_ATOMS:
+    if not _is_integer(n) or not 1 <= n <= MAX_ATOMS:
         raise IndexOutOfRange(f"atom count must be an integer in 1..{MAX_ATOMS}, got {n}")
     return int(n)
 

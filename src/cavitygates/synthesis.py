@@ -4,8 +4,9 @@ Construction strategy, common to both registers: two pulses of the
 collective evolution with a single-qubit pulse in between form a core
 that carries the right entangling power (local invariants (0, 1), the
 CNOT class); the one-qubit corrections that turn the core into an exact
-CNOT are then recovered with the local-invariants machinery of
-`invariants.solve_local_corrections` and stored as rotation layers.
+CNOT are solved once per register, by `invariants.solve_local_corrections`
+on the core as `compose` renders its steps (for three atoms, on its 4x4
+factor on atoms 2 and 3), and stored as rotation layers.
 
   * Two atoms: the core U(pi/4) (R_y(pi) x 1) U(pi/4) uses the ladder
     form of the Hamiltonian; the middle pi pulse reverses atom 1 between
@@ -17,13 +18,13 @@ CNOT are then recovered with the local-invariants machinery of
     other two; two such blocks around R_y(phi_f) with
     tan(phi_f/2) = 1/sqrt(2) form the CNOT-class core.
 
-The derived corrections make every composed sequence equal its target
-gate exactly (to machine precision), including the global phase carried
-as an explicit final step.
+The corrections make every composed sequence equal its target gate to
+machine precision, global phase included (an explicit final step).
 
 Cores moved by e^{i eps H} keep continuous angles while the CNOT class's degenerate
 eigenvalue pairs stay merged (tested to eps = 1e-11); beyond that the layers may jump,
-but every sequence stays exact to about eps.  NotEquivalent is the edge.
+but every sequence stays exact to about eps.  The edge is NotEquivalent: a pulse error
+fails the spectra match ("could not be matched") before the invariants move past DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from math import atan, pi, sqrt
 
 import numpy as np
 
-from .errors import InvalidBranch, NotFactorable, _check_control_target
+from .errors import InvalidBranch, NotFactorable, _check_control_target, _is_integer
 from .evolution import HamiltonianForm
-from .gates import _SMALL_HALF_ANGLE, cnot_gate, rotation, u23_gate, zyz_angles
+from .gates import _SMALL_HALF_ANGLE, cnot_gate, zyz_angles
 from .invariants import factor_local, solve_local_corrections
-from .linalg import DEFAULT_TOL, _as_stack, kron
+from .linalg import DEFAULT_TOL, _as_stack
 from .sequences import (
     CollectiveEvolution,
     GateSequence,
@@ -64,38 +65,26 @@ def _euler_triples(qubit: int, u2: np.ndarray) -> tuple[tuple[int, str, float], 
     return tuple(triples)
 
 
-def _layer_from_local(u4, qubits: tuple[int, int]) -> LocalLayer:
-    """Rotation layer realizing a tensor-product 4x4 unitary exactly.
-
-    The first tensor slot maps to qubits[0].  `factor_local` leaves a phase
-    of 1 for every u4 in SU(2) x SU(2); any other phase is rejected.
-    """
+def _layer_from_local(u4) -> LocalLayer:
+    """Rotation layer on qubits 1, 2 realizing u4 exactly: `factor_local` leaves a phase
+    of 1 for every u4 in SU(2) x SU(2), -(a x b) too; any other phase is rejected."""
     phase, a, b = factor_local(u4)
     if abs(phase - 1.0) >= DEFAULT_TOL:
         raise NotFactorable(f"cannot absorb phase {phase} into rotation layers")
-    return LocalLayer(_euler_triples(qubits[0], a) + _euler_triples(qubits[1], b))
+    return LocalLayer(_euler_triples(1, a) + _euler_triples(2, b))
 
 
-def _correction_layers(core, phase_step: float, qubits: tuple[int, int]):
+def _correction_layers(core, phase_step: float):
     """Pre/post rotation layers and theta with e^{i theta} * post @ core @ pre = CNOT, exactly:
     theta is phase_step plus the solved pair's residual angle (the core's own global phase)."""
-    want = np.exp(-1j * phase_step) * cnot_gate()
-    pair = solve_local_corrections(core, want)
-    sign = 1.0 if pair.phase.real > 0 else -1.0
-    pre, post = (_layer_from_local(o, qubits) for o in (sign * pair.o, pair.o_prime))
-    return pre, post, phase_step + float(np.angle(sign * pair.phase))
+    pair = solve_local_corrections(core, np.exp(-1j * phase_step) * cnot_gate())
+    pre, post = (_layer_from_local(o) for o in (pair.o, pair.o_prime))
+    return pre, post, phase_step + float(np.angle(pair.phase))
 
 
 _CNOT2_PULSE = CollectiveEvolution(pi / 4, HamiltonianForm.LADDER)
 #: Two-atom CNOT core: U(pi/4), R_y(pi) on atom 1, U(pi/4).
 _CNOT2_CORE = (_CNOT2_PULSE, LocalLayer(((1, "y", pi),)), _CNOT2_PULSE)
-
-
-@lru_cache(maxsize=None)
-def _cnot2_corrections() -> tuple[LocalLayer, LocalLayer, float]:
-    """Pre/post layers and global phase of the two-atom CNOT core, solved once and shared."""
-    core = compose(GateSequence(2, _CNOT2_CORE, label="cnot2-core"))
-    return _correction_layers(core, CNOT2_GLOBAL_PHASE, (1, 2))
 
 
 def cnot2_sequence() -> GateSequence:
@@ -107,7 +96,7 @@ def cnot2_sequence() -> GateSequence:
     collective time pi/2 (units 1/eta): one pulse pair, which is the
     minimum for reaching the CNOT class with this interaction.
     """
-    pre, post, theta = _cnot2_corrections()
+    pre, post, theta = _corrections(2)
     return GateSequence(
         n_atoms=2,
         steps=(pre, *_CNOT2_CORE, post, GlobalPhase(theta)),
@@ -131,12 +120,10 @@ def spin_echo_u23(branch: int, k: int = 0) -> GateSequence:
     U23 = exp(-i pi/3 sigma_z x sigma_z); branch = -1 gives its adjoint
     (branch 0 would be the identity and is rejected).
     """
-    if not isinstance(branch, (int, np.integer)) or branch not in (-1, 1):
+    if not _is_integer(branch) or branch not in (-1, 1):
         raise InvalidBranch(f"branch must be the integer +1 or -1, got {branch!r}")
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise InvalidBranch(f"k must be a non-negative integer, got {k}")
-    if isinstance(branch, bool) or isinstance(k, bool):
-        raise InvalidBranch(f"branch and k must be integers, not bool: {branch!r}, {k!r}")
+    if not _is_integer(k) or k < 0:
+        raise InvalidBranch(f"k must be a non-negative integer, got {k!r}")
     return GateSequence(
         n_atoms=3,
         steps=_echo_steps(1, branch, k),
@@ -163,19 +150,21 @@ def extract_factor(u) -> np.ndarray:
     return top.copy()
 
 
-def _other_atom(control: int, target: int) -> int:
+def _cnot3_core(control: int, target: int) -> tuple:
+    """The CNOT-class core: echo (NOTs on the idle atom), R_y(phi_f) on the target, echo."""
     _check_control_target(control, target, 3)
-    return 6 - control - target  # the atoms sum to 6
+    echo = _echo_steps(6 - control - target, +1)  # the atoms sum to 6
+    return echo + (LocalLayer(((target, "y", CNOT3_MIDDLE_ANGLE),)),) + echo
 
 
 @lru_cache(maxsize=None)
-def _cnot3_corrections() -> tuple[LocalLayer, LocalLayer, float]:
-    """Pre/post layers and global phase of the three-atom CNOT core
-    U23 (1 x R_y(phi_f)) U23, on slots 1 (control) and 2 (target).  The core
-    does not depend on the labelling, so it is solved once and shared."""
-    u23 = u23_gate()
-    core = u23 @ kron(np.eye(2), rotation("y", CNOT3_MIDDLE_ANGLE)) @ u23
-    return _correction_layers(core, CNOT3_GLOBAL_PHASE, (1, 2))
+def _corrections(n: int) -> tuple[LocalLayer, LocalLayer, float]:
+    """Pre/post layers on slots (1, 2) and theta of the n-atom CNOT core as `compose`
+    renders it; the three-atom core is solved on atoms 2 (control), 3 (target)."""
+    if n == 2:
+        return _correction_layers(compose(GateSequence(2, _CNOT2_CORE)), CNOT2_GLOBAL_PHASE)
+    core = extract_factor(compose(GateSequence(3, _cnot3_core(2, 3))))
+    return _correction_layers(core, CNOT3_GLOBAL_PHASE)
 
 
 def _relabel(layer: LocalLayer, qubits: tuple[int, int]) -> LocalLayer:
@@ -187,12 +176,10 @@ def _relabel(layer: LocalLayer, qubits: tuple[int, int]) -> LocalLayer:
 
 def _cnot3_steps(control: int, target: int) -> tuple:
     """Steps of `cnot3_sequence(control, target)`, without building the sequence."""
-    idle = _other_atom(control, target)
-    pre, post, theta = _cnot3_corrections()
+    core = _cnot3_core(control, target)
+    pre, post, theta = _corrections(3)
     pre, post = (_relabel(layer, (control, target)) for layer in (pre, post))
-    echo = _echo_steps(idle, +1)
-    middle = LocalLayer(((target, "y", CNOT3_MIDDLE_ANGLE),))
-    return (pre,) + echo + (middle,) + echo + (post, GlobalPhase(theta))
+    return (pre,) + core + (post, GlobalPhase(theta))
 
 
 def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:

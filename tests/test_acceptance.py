@@ -4,7 +4,20 @@ Each test runs one check from `cavitygates.verify` (the same checks the
 CLI `verify` verb exposes) and prints a pass/fail line with its worst
 metric, so `pytest -s tests/test_acceptance.py` doubles as a readable
 verification report.
+
+tests/data/verify_floor.json records the value every metric of
+`run_checks("all")` achieved when it was written.  Each metric must also
+stay within max(100 x that value, 1e-13): a wrong rule or constant that
+still passes its tolerance, where errors sit near 1e-14, fails here.  A
+change that moves a metric on purpose rewrites the file and says so:
+
+    PYTHONPATH=src python -c "import json; from cavitygates.verify import run_checks; \
+print(json.dumps({r.name: {m.name: m.value for m in r.metrics} \
+for r in run_checks('all')}, indent=2))" > tests/data/verify_floor.json
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +80,23 @@ def test_11_swap_is_not_cnot():
 
 def test_12_operator_identity():
     _run(verify.check_operator_identity)
+
+
+FLOOR = json.loads((Path(__file__).parent / "data" / "verify_floor.json").read_text())
+
+
+def test_every_metric_stays_near_its_recorded_floor():
+    got = {r.name: {m.name: m.value for m in r.metrics} for r in verify.run_checks("all")}
+    assert {name: sorted(ms) for name, ms in got.items()} == {
+        name: sorted(ms) for name, ms in FLOOR.items()
+    }
+    above = {
+        (check, metric): (value, FLOOR[check][metric])
+        for check, metrics in got.items()
+        for metric, value in metrics.items()
+        if value > max(100 * FLOOR[check][metric], 1e-13)
+    }
+    assert not above, f"metrics above 100 x their floor: {above}"
 
 
 def test_all_checks_registry_is_complete():

@@ -7,6 +7,7 @@ import pytest
 from cavitygates.errors import (
     CavityGatesError,
     DegenerateParams,
+    IndexOutOfRange,
     InvalidAxis,
     InvalidBranch,
     InvalidForm,
@@ -73,6 +74,19 @@ CASES = {
     # the same bad control/target pair raises the same type from both
     "controlled_not control = target": (lambda: controlled_not(3, 2, 2), InvalidQubits),
     "cnot3_sequence control = target": (lambda: cnot3_sequence(2, 2), InvalidQubits),
+    # a bool is not an integer, wherever an atom count, qubit, control or target is taken
+    "controlled_not control True": (lambda: controlled_not(2, True, 2), InvalidQubits),
+    "controlled_not n 2.5": (lambda: controlled_not(2.5, 1, 2), InvalidQubits),
+    "cnot3_sequence target True": (lambda: cnot3_sequence(2, True), InvalidQubits),
+    "sequence n_atoms true": (
+        lambda: sequence_from_json({"n_atoms": True, "steps": []}),
+        IndexOutOfRange,
+    ),
+    "rotation qubit true": (
+        lambda: sequence_from_json(_steps({"kind": "local", "rotations": [[True, "x", 0.5]]})),
+        IndexOutOfRange,
+    ),
+    "collective_op atoms True": (lambda: collective_op("z", True), IndexOutOfRange),
     "spin axis": (lambda: collective_op("w", 2), InvalidAxis),
     "zyz det != 1": (lambda: zyz_angles(2 * np.eye(2)), NotUnitary),
     # det = 1 but not unitary: rejected up front, before any angle is taken
@@ -82,6 +96,8 @@ CASES = {
     # a float branch equal to +-1 is not an integer either
     "echo branch 1.0": (lambda: spin_echo_u23(1.0), InvalidBranch),
     "echo branch float64(-1)": (lambda: spin_echo_u23(np.float64(-1)), InvalidBranch),
+    "echo branch True": (lambda: spin_echo_u23(True), InvalidBranch),
+    "echo k False": (lambda: spin_echo_u23(+1, k=False), InvalidBranch),
     "step kind": (lambda: sequence_from_json(_steps({"kind": "teleport"})), CavityGatesError),
     "form string": (
         lambda: sequence_from_json(_steps({"kind": "evolve", "phi": 0.25, "form": "bogus"})),

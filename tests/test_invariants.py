@@ -131,6 +131,9 @@ def test_factor_local_roundtrip(rng):
     assert abs(np.linalg.det(fb) - 1) < 1e-12
     with pytest.raises(NotFactorable):
         factor_local(cnot_gate())
+    # blocks of full determinant, but their product is not the gate
+    with pytest.raises(NotFactorable):
+        factor_local(haar_unitary(4, rng))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (1, 4, 4)])

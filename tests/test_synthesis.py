@@ -51,14 +51,14 @@ def _solver_returning(transform):
 @pytest.fixture
 def resolve_cnot2():
     """Make cnot2_sequence solve its corrections again: they are cached."""
-    synthesis._cnot2_corrections.cache_clear()
+    synthesis._corrections.cache_clear()
     yield
-    synthesis._cnot2_corrections.cache_clear()
+    synthesis._corrections.cache_clear()
 
 
-def test_correction_sign_goes_into_the_pre_layer(monkeypatch, resolve_cnot2):
-    # (-O, O', -phase) solves the same equation as (O, O', phase); the
-    # sign of a -1 residual phase must end up in the realized layers
+def test_a_negated_pre_correction_factors_with_phase_one(monkeypatch, resolve_cnot2):
+    # (-O, O', -phase) solves the same equation as (O, O', phase): -O is in
+    # SU(2) x SU(2) too, so its layer carries the sign and theta the -1
     flipped = _solver_returning(lambda p: LocalCorrectionPair(-p.o, p.o_prime, -p.phase))
     monkeypatch.setattr(synthesis, "solve_local_corrections", flipped)
     assert np.abs(compose(cnot2_sequence()) - cnot_gate()).max() < 1e-9
@@ -272,7 +272,7 @@ def test_cnot3_corrections_are_solved_once(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(synthesis, "solve_local_corrections", counting)
-    synthesis._cnot3_corrections.cache_clear()
+    synthesis._corrections.cache_clear()
     full = compose(toffoli_sequence(False))
     for control, target in ((1, 2), (2, 1), (3, 1)):
         cnot3_sequence(control, target)
@@ -298,7 +298,7 @@ def test_corrections_are_continuous_in_the_core(core, phase_step, rng):
     # the CNOT class is degenerate: rounding noise in a core must not pick
     # another member of the family of valid corrections
     def solve(u):
-        pre, post, _ = synthesis._correction_layers(u, phase_step, (1, 2))
+        pre, post, _ = synthesis._correction_layers(u, phase_step)
         rotations = [r for layer in (pre, post) for r in layer.rotations]
         return [(q, axis) for q, axis, _ in rotations], np.array([a for _, _, a in rotations])
 
@@ -312,7 +312,7 @@ def test_corrections_are_continuous_in_the_core(core, phase_step, rng):
 
 def _composed(core, phase_step):
     """e^{i theta} post @ core @ pre for the solved corrections of core."""
-    pre, post, theta = synthesis._correction_layers(core, phase_step, (1, 2))
+    pre, post, theta = synthesis._correction_layers(core, phase_step)
     return np.exp(1j * theta) * local_layer_unitary(post, 2) @ core @ local_layer_unitary(pre, 2)
 
 
@@ -335,11 +335,26 @@ def test_a_core_global_phase_goes_into_theta(core, phase_step, alpha):
     assert np.abs(_composed(np.exp(1j * alpha) * core(), phase_step) - cnot_gate()).max() < 1e-12
 
 
+def _invariant_error(u):
+    return max(abs(a - b) for a, b in zip(local_invariants(u), (0, 1)))
+
+
 @CORES
 def test_a_core_outside_the_cnot_class_raises_not_equivalent(core, phase_step):
     # the invariants are stationary in the pulse phase at CNOT, so an offset of
-    # 1e-4 moves them by about 1e-8, past DEFAULT_TOL: the one edge of synthesis
+    # 1e-4 moves them by about 1e-8, past DEFAULT_TOL: the invariants' raise
     off = core(dphi=1e-4)
-    assert max(abs(a - b) for a, b in zip(local_invariants(off), (0, 1))) > DEFAULT_TOL
-    with pytest.raises(NotEquivalent):
-        synthesis._correction_layers(off, phase_step, (1, 2))
+    assert _invariant_error(off) > DEFAULT_TOL
+    with pytest.raises(NotEquivalent, match="different local invariants"):
+        synthesis._correction_layers(off, phase_step)
+
+
+@CORES
+def test_a_pulse_error_fails_the_spectra_match_first(core, phase_step):
+    # a pulse error moves the class's eigenvalues at first order and the
+    # invariants at second: at 1e-6 the invariants agree to 1e-11, but m O = O l
+    # is off by about 1e-6, past _MATCH_TOL (cnot2 raises from 1e-7, cnot3 from 3e-7)
+    off = core(dphi=1e-6)
+    assert _invariant_error(off) < 1e-11
+    with pytest.raises(NotEquivalent, match="spectra of m and l could not be matched"):
+        synthesis._correction_layers(off, phase_step)
