@@ -20,6 +20,11 @@ factor on atoms 2 and 3), and stored as rotation layers.
 
 The corrections make every composed sequence equal its target gate to
 machine precision, global phase included (an explicit final step).
+Each named sequence is a constant: `cnot2_sequence`, `cnot3_sequence` and
+`toffoli_sequence` build it on first use and return that one immutable
+GateSequence for every later call with the same valid arguments, the Toffolis
+spliced from the cached CNOT blocks' steps; `spin_echo_u23` is built afresh,
+as its k is unbounded.
 
 Cores moved by e^{i eps H} keep continuous angles while the CNOT class's degenerate
 eigenvalue pairs stay merged (tested to eps = 1e-11); beyond that the layers may jump,
@@ -87,6 +92,7 @@ _CNOT2_PULSE = CollectiveEvolution(pi / 4, HamiltonianForm.LADDER)
 _CNOT2_CORE = (_CNOT2_PULSE, LocalLayer(((1, "y", pi),)), _CNOT2_PULSE)
 
 
+@lru_cache(maxsize=None)
 def cnot2_sequence() -> GateSequence:
     """CNOT on two atoms (control 1, target 2) from two pi/4 pulses of
     the collective interaction.
@@ -97,11 +103,7 @@ def cnot2_sequence() -> GateSequence:
     minimum for reaching the CNOT class with this interaction.
     """
     pre, post, theta = _corrections(2)
-    return GateSequence(
-        n_atoms=2,
-        steps=(pre, *_CNOT2_CORE, post, GlobalPhase(theta)),
-        label="cnot2",
-    )
+    return GateSequence(2, (pre, *_CNOT2_CORE, post, GlobalPhase(theta)), label="cnot2")
 
 
 def _echo_steps(idle_atom: int, branch: int, k: int = 0):
@@ -152,7 +154,6 @@ def extract_factor(u) -> np.ndarray:
 
 def _cnot3_core(control: int, target: int) -> tuple:
     """The CNOT-class core: echo (NOTs on the idle atom), R_y(phi_f) on the target, echo."""
-    _check_control_target(control, target, 3)
     echo = _echo_steps(6 - control - target, +1)  # the atoms sum to 6
     return echo + (LocalLayer(((target, "y", CNOT3_MIDDLE_ANGLE),)),) + echo
 
@@ -174,14 +175,6 @@ def _relabel(layer: LocalLayer, qubits: tuple[int, int]) -> LocalLayer:
     )
 
 
-def _cnot3_steps(control: int, target: int) -> tuple:
-    """Steps of `cnot3_sequence(control, target)`, without building the sequence."""
-    core = _cnot3_core(control, target)
-    pre, post, theta = _corrections(3)
-    pre, post = (_relabel(layer, (control, target)) for layer in (pre, post))
-    return (pre,) + core + (post, GlobalPhase(theta))
-
-
 def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     """CNOT between two atoms of a three-atom register, third untouched.
 
@@ -192,9 +185,18 @@ def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     atoms, with the echo pulses moved to whichever atom sits idle.
     Total collective time 8 pi / 3 (units 1/eta).
     """
+    _check_control_target(control, target, 3)
+    return _cnot3_sequence(control, target)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: numpy qubits never land in an int entry
+def _cnot3_sequence(control: int, target: int) -> GateSequence:
+    """`cnot3_sequence` after its check: the core with the relabelled (2, 3) corrections."""
+    pre, post, theta = _corrections(3)
+    pre, post = (_relabel(layer, (control, target)) for layer in (pre, post))
     return GateSequence(
         n_atoms=3,
-        steps=_cnot3_steps(control, target),
+        steps=(pre,) + _cnot3_core(control, target) + (post, GlobalPhase(theta)),
         label=f"cnot3(control={control}, target={target})",
     )
 
@@ -211,18 +213,16 @@ def toffoli_sequence(simplified: bool = False) -> GateSequence:
     flip of the single basis state |101>.  Collective time 8 pi, half
     the full gate.
     """
+    return _toffoli_sequence(bool(simplified))
+
+
+@lru_cache(maxsize=None)
+def _toffoli_sequence(simplified: bool) -> GateSequence:
+    """`toffoli_sequence`, each CNOT block spliced from `cnot3_sequence`'s cached steps."""
     if simplified:
-        a_pulse = LocalLayer(((3, "y", pi / 4),))
-        a_dag = LocalLayer(((3, "y", -pi / 4),))
-        steps = (
-            (a_pulse,)
-            + _cnot3_steps(2, 3)
-            + (a_pulse,)
-            + _cnot3_steps(1, 3)
-            + (a_dag,)
-            + _cnot3_steps(2, 3)
-            + (a_dag,)
-        )
+        a_pulse, a_dag = LocalLayer(((3, "y", pi / 4),)), LocalLayer(((3, "y", -pi / 4),))
+        steps = (a_pulse, *cnot3_sequence(2, 3).steps, a_pulse, *cnot3_sequence(1, 3).steps,
+                 a_dag, *cnot3_sequence(2, 3).steps, a_dag)
         return GateSequence(n_atoms=3, steps=steps, label="toffoli-simplified")
 
     # H = e^{i pi/2} R_y(pi/2) R_z(pi), T = e^{i pi/8} R_z(pi/4): phases summed in gate order
@@ -230,18 +230,18 @@ def toffoli_sequence(simplified: bool = False) -> GateSequence:
     t_dag = LocalLayer(((3, "z", -pi / 4),))
     steps = (
         hadamard,
-        *_cnot3_steps(2, 3),
+        *cnot3_sequence(2, 3).steps,
         t_dag,
-        *_cnot3_steps(1, 3),
+        *cnot3_sequence(1, 3).steps,
         LocalLayer(((3, "z", pi / 4),)),
-        *_cnot3_steps(2, 3),
+        *cnot3_sequence(2, 3).steps,
         t_dag,
-        *_cnot3_steps(1, 3),
+        *cnot3_sequence(1, 3).steps,
         LocalLayer(((2, "z", pi / 4), (3, "z", pi / 4))),  # T on atoms 2 and 3
-        *_cnot3_steps(1, 2),
+        *cnot3_sequence(1, 2).steps,
         hadamard,
         LocalLayer(((1, "z", pi / 4), (2, "z", -pi / 4))),  # T on 1, T^dagger on 2
-        *_cnot3_steps(1, 2),
+        *cnot3_sequence(1, 2).steps,
         GlobalPhase(pi / 2 - pi / 8 + pi / 8 - pi / 8 + pi / 4 + pi / 2),
     )
     return GateSequence(n_atoms=3, steps=steps, label="toffoli")

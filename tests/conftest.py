@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from cavitygates import synthesis
 from cavitygates.evolution import HamiltonianForm, evolve
 from cavitygates.gates import rotation, u23_gate
 from cavitygates.linalg import expm_hermitian, kron
@@ -55,3 +56,16 @@ def sequences(draw):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1729)
+
+
+@pytest.fixture
+def fresh_synthesis():
+    """Clear the cached corrections and every cached named sequence before and after
+    the test, so a sequence built from a patched solver cannot leak into another test."""
+    caches = (synthesis._corrections, synthesis.cnot2_sequence,
+              synthesis._cnot3_sequence, synthesis._toffoli_sequence)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -165,6 +165,16 @@ def test_zyz_rejects_non_su2():
         zyz_angles(1j * np.eye(2))  # det -1: U(2) but not SU(2)
 
 
+def test_zyz_rejects_a_determinant_1e_5_off_one(rng):
+    # e^{i eps / 2} u is unitary with det e^{i eps}: outside SU(2) at eps = 1e-5, inside at 1e-11
+    u = haar_unitary(2, rng)
+    u = u / np.sqrt(np.linalg.det(u))
+    with pytest.raises(NotUnitary, match="det 1"):
+        zyz_angles(np.exp(0.5e-5j) * u)
+    a, b, c = zyz_angles(np.exp(0.5e-11j) * u)
+    assert np.abs(rotation("z", a) @ rotation("y", b) @ rotation("z", c) - u).max() < 1e-10
+
+
 def test_zyz_rejects_non_unitary_input_of_unit_determinant():
     with pytest.raises(NotUnitary):
         zyz_angles(np.diag([2.0, 0.5]))

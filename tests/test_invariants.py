@@ -136,6 +136,27 @@ def test_factor_local_roundtrip(rng):
         factor_local(haar_unitary(4, rng))
 
 
+def _zz_coupled(eps, rng):
+    """(A x B) e^{i eps Z x Z}, Haar A and B: eps away from a tensor product."""
+    zz = np.diag([1.0, -1.0, -1.0, 1.0])
+    return kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ expm_hermitian(zz, -eps)
+
+
+def test_is_local_resolves_a_zz_coupling_of_1e_6(rng):
+    # the second singular value is about eps times the first: DEFAULT_TOL sits between
+    assert not is_local(_zz_coupled(1e-6, rng))
+    assert is_local(_zz_coupled(1e-12, rng))
+
+
+def test_factor_local_rejects_a_zz_coupling_of_1e_6(rng):
+    # the residual is about 4 eps: rejected at 1e-6, factored at 1e-12
+    with pytest.raises(NotFactorable, match="does not factor"):
+        factor_local(_zz_coupled(1e-6, rng))
+    gate = _zz_coupled(1e-12, rng)
+    phase, a, b = factor_local(gate)
+    assert np.abs(phase * kron(a, b) - gate).max() < 1e-11
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (1, 4, 4)])
 def test_factor_local_rejects_anything_but_one_4x4_gate(shape):
     with pytest.raises(DimensionMismatch, match="expected a 4x4 gate"):
@@ -402,3 +423,24 @@ def test_solver_does_not_recompute_the_invariants(monkeypatch, rng):
     assert is_local(pair.o)
     with pytest.raises(NotEquivalent):
         solve_local_corrections(cnot_gate(), swap_gate())
+
+
+def test_a_near_miss_of_the_first_weight_is_retried(rng):
+    # eigenvalues e^{i(phi + a)} and e^{i(phi - a + 1e-8)}, tan phi = w^2, nearly
+    # collide in Re/w + w Im for the first weight w: its basis leaves off-diagonals of
+    # about 1e-8, above the 1e-10 accepted and far below O(1), so the next weight must
+    # take over
+    w, off = invariants._DIAG_WEIGHTS[0], ~np.eye(4, dtype=bool)
+    phi = np.arctan(w ** 2)
+    ms = []
+    for _ in range(8):
+        a, b = rng.uniform(0.1, 1.0, size=2)
+        o, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        ms.append((o * np.exp(1j * np.array([phi + a, phi - a + 1e-8, b, -b]))) @ o.T)
+    ms = np.array(ms)
+    first = np.linalg.eigh(ms.real / w + w * ms.imag)[1]
+    missed = np.abs((first.swapaxes(-1, -2) @ ms @ first)[:, off]).max(axis=-1)
+    assert ((missed > 1e-10) & (missed < 1e-6)).any()
+    d, p = _diagonalize_symmetric_unitary(ms)
+    assert np.abs((p.swapaxes(-1, -2) @ ms @ p)[:, off]).max() < 1e-10
+    assert np.abs((p * d[:, None, :]) @ p.swapaxes(-1, -2) - ms).max() < 1e-12

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitygates.errors import DimensionMismatch, NotEquivalent, NotUnitary
+from cavitygates import invariants
+from cavitygates.errors import CavityGatesError, DimensionMismatch, NotEquivalent, NotUnitary
 from cavitygates.gates import SIGMA_X, SIGMA_Y, SIGMA_Z, cnot_gate, swap_gate
 from cavitygates.invariants import (
     MAGIC_BASIS,
@@ -188,6 +189,14 @@ def test_one_inequivalent_pair_fails_the_stack(rng):
     cores[1], targets[1] = cnot_gate(), swap_gate()
     with pytest.raises(NotEquivalent):
         solve_local_corrections(cores, targets)
+
+
+def test_a_gate_no_weight_diagonalizes_raises(monkeypatch, rng):
+    # with the first weight alone the weight-retry gate has no fallback left
+    monkeypatch.setattr(invariants, "_DIAG_WEIGHTS", invariants._DIAG_WEIGHTS[:1])
+    gate = _weight_retry_gate(rng)
+    with pytest.raises(CavityGatesError, match="failed to diagonalize a symmetric unitary"):
+        solve_local_corrections(gate, _dressed(gate, rng))
 
 
 def test_stacks_that_do_not_broadcast_raise_dimension_mismatch():

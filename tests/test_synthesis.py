@@ -48,15 +48,7 @@ def _solver_returning(transform):
     return lambda core, want: transform(solve(core, want))
 
 
-@pytest.fixture
-def resolve_cnot2():
-    """Make cnot2_sequence solve its corrections again: they are cached."""
-    synthesis._corrections.cache_clear()
-    yield
-    synthesis._corrections.cache_clear()
-
-
-def test_a_negated_pre_correction_factors_with_phase_one(monkeypatch, resolve_cnot2):
+def test_a_negated_pre_correction_factors_with_phase_one(monkeypatch, fresh_synthesis):
     # (-O, O', -phase) solves the same equation as (O, O', phase): -O is in
     # SU(2) x SU(2) too, so its layer carries the sign and theta the -1
     flipped = _solver_returning(lambda p: LocalCorrectionPair(-p.o, p.o_prime, -p.phase))
@@ -64,7 +56,7 @@ def test_a_negated_pre_correction_factors_with_phase_one(monkeypatch, resolve_cn
     assert np.abs(compose(cnot2_sequence()) - cnot_gate()).max() < 1e-9
 
 
-def test_correction_rejects_a_residual_phase_other_than_sign(monkeypatch, resolve_cnot2):
+def test_correction_rejects_a_residual_phase_other_than_sign(monkeypatch, fresh_synthesis):
     # (i O, O', -i phase) is a valid pair too, but SU(2) layers cannot carry i
     turned = _solver_returning(lambda p: LocalCorrectionPair(1j * p.o, p.o_prime, -1j * p.phase))
     monkeypatch.setattr(synthesis, "solve_local_corrections", turned)
@@ -263,7 +255,50 @@ def test_builders_are_deterministic():
     assert cnot3_sequence(3, 1) == cnot3_sequence(3, 1)
 
 
-def test_cnot3_corrections_are_solved_once(monkeypatch):
+def test_named_sequences_are_built_once():
+    # each named sequence is a constant: every call with the same arguments returns one object
+    assert cnot2_sequence() is cnot2_sequence()
+    assert cnot3_sequence(3, 1) is cnot3_sequence(3, 1)
+    assert cnot3_sequence() is cnot3_sequence(2, 3) is cnot3_sequence(target=3, control=2)
+    for simplified in (False, True):
+        assert toffoli_sequence(simplified) is toffoli_sequence(simplified=simplified)
+
+
+def test_a_cached_cnot3_still_rejects_bad_qubits(fresh_synthesis):
+    numpy_built = cnot3_sequence(np.int64(1), np.int64(2))
+    assert cnot3_sequence(1, 2) == numpy_built
+    # numpy qubits get an entry of their own: the int entry carries Python ints
+    layers = [s for s in cnot3_sequence(1, 2).steps if isinstance(s, LocalLayer)]
+    assert {type(q) for layer in layers for q, _, _ in layer.rotations} == {int}
+    for control, target in ((True, 2), (1.0, 2), (2, 2), ([1], 2)):
+        with pytest.raises(InvalidQubits):
+            cnot3_sequence(control, target)
+
+
+def test_toffoli_takes_the_truth_of_simplified():
+    assert toffoli_sequence(np.bool_(True)) is toffoli_sequence(True)
+    assert toffoli_sequence(0) is toffoli_sequence(False)
+
+
+@pytest.mark.parametrize(
+    "simplified, blocks",
+    [(False, ((2, 3), (1, 3), (2, 3), (1, 3), (1, 2), (1, 2))), (True, ((2, 3), (1, 3), (2, 3)))],
+    ids=["toffoli", "simplified"],
+)
+def test_toffoli_cnot_blocks_are_the_cached_cnot3_steps(simplified, blocks):
+    steps, found = toffoli_sequence(simplified).steps, []
+    width = len(cnot3_sequence().steps)
+    for i in range(len(steps) - width + 1):
+        for pair in {(1, 2), (1, 3), (2, 3)}:
+            if all(a is b for a, b in zip(steps[i:i + width], cnot3_sequence(*pair).steps)):
+                found.append(pair)
+    assert found == list(blocks)
+    # every collective pulse of the Toffoli sits in one of those blocks
+    pulses = sum(isinstance(step, CollectiveEvolution) for step in steps)
+    assert pulses == 4 * len(blocks)
+
+
+def test_cnot3_corrections_are_solved_once(monkeypatch, fresh_synthesis):
     calls = []
     solve = synthesis.solve_local_corrections
 
@@ -272,7 +307,6 @@ def test_cnot3_corrections_are_solved_once(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(synthesis, "solve_local_corrections", counting)
-    synthesis._corrections.cache_clear()
     full = compose(toffoli_sequence(False))
     for control, target in ((1, 2), (2, 1), (3, 1)):
         cnot3_sequence(control, target)
