@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize, verify
-from .errors import CavityGatesError, _check_non_negative
+from .errors import _check_non_negative
 from .evolution import (
     CavityParams,
     HamiltonianForm,
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CavityGatesError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # CavityGatesError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,10 @@ In the magic basis every product of one-qubit unitaries becomes a real
 orthogonal matrix, which is what makes m's spectrum an equivalence-class
 fingerprint.  `solve_local_corrections` reads the corrections off the real
 eigenbases of m and l in one pass, with the traces that test equivalence
-also fixing the sign of l.  The corrections and their `factor_local`
-factors are continuous in the gates except where eigenvalue clusters of m
-merge, where a det -1 polar factor has a repeated smallest singular
-value, or where Re tr a = 0.
+also fixing the sign of l.  `factor_local` splits exactly the gates
+`is_local` accepts.  The corrections and their factors are continuous in
+the gates except where eigenvalue clusters of m merge, where a det -1
+polar factor has a repeated smallest singular value, or where Re tr a = 0.
 
 `local_invariants`, `is_local`, `are_equivalent` and `solve_local_corrections`
 also take stacks of gates, shape (..., 4, 4), elementwise.  No function here
@@ -106,16 +106,20 @@ def are_equivalent(a, b):
     return _unstack((_modulus(g[:, 0] - g[:, 1]) < DEFAULT_TOL).all(axis=0), bool)
 
 
+def _rearranged(m: np.ndarray) -> np.ndarray:
+    """V[2a+a', 2b+b'] = m[2a+b, 2a'+b'] per 4x4 of a stack: A x B goes to rank 1."""
+    return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(m.shape)
+
+
 def is_local(u):
     """True iff u = A x B for some 2x2 unitaries; a bool array for a stack.
 
-    Tested via the singular values of the block rearrangement
-    V[2a+a', 2b+b'] = u[2a+b, 2a'+b']: a tensor product rearranges to a
-    rank-1 matrix, so exactly one singular value is nonzero.
+    Tested via the singular values of `_rearranged(u)`: a tensor product
+    rearranges to a rank-1 matrix, so exactly one singular value is nonzero.
+    `factor_local` splits exactly the gates accepted here.
     """
     m = _check_two_qubit_unitary(u)
-    v = m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2).reshape(m.shape)
-    s = np.linalg.svd(v, compute_uv=False)
+    s = np.linalg.svd(_rearranged(m), compute_uv=False)
     return _unstack(s[..., 1] < DEFAULT_TOL * s[..., 0], bool)
 
 
@@ -124,29 +128,22 @@ def factor_local(u):
     Re tr a >= 0: continuous in u except where Re tr a = 0.
 
     Raises:
-        NotFactorable: if u is not a tensor product of 2x2 blocks.
+        NotUnitary: if u is not unitary.
+        NotFactorable: if u is not A x B: exactly where `is_local(u)` is False.
     """
     m = _as_stack(u)
     if m.shape != (4, 4):
         raise DimensionMismatch(f"expected a 4x4 gate, got shape {m.shape}")
-    # Anchor on the (first) largest entry, then read off both factors from
-    # the rows/columns through it; _modulus ranks as abs() of one entry does.
-    i0, j0 = divmod(int(_modulus(m).argmax()), 4)
-    t = m.reshape(2, 2, 2, 2)  # t[a, b, a', b'] = m[2a + b, 2a' + b']
-    a, b = t[:, i0 & 1, :, j0 & 1], t[i0 >> 1, :, j0 >> 1, :]
-    det_a, det_b = np.linalg.det(a), np.linalg.det(b)
-    if abs(det_a) < DEFAULT_TOL or abs(det_b) < DEFAULT_TOL:
+    if not is_local(m):
         raise NotFactorable("gate does not factor into 2x2 blocks")
-    a = a / np.sqrt(det_a)
-    b = b / np.sqrt(det_b)
-    if np.trace(a).real < 0:  # (a, b) and (-a, -b) give the same product
-        a = -a
-    phase = m[i0, j0] / (a[i0 >> 1, j0 >> 1] * b[i0 & 1, j0 & 1])
+    left, s, right = np.linalg.svd(_rearranged(m))  # u = s0 (left_0 x right_0) + O(s1)
+    a, b = left[:, 0].reshape(2, 2), right[0].reshape(2, 2)
+    root_a, root_b = np.sqrt(np.linalg.det(a)), np.sqrt(np.linalg.det(b))
+    a, b, phase = a / root_a, b / root_b, s[0] * root_a * root_b
+    if np.trace(a).real < 0:  # (-a, b) with -phase gives the same gate
+        a, phase = -a, -phase
     if phase.real < 0:
-        b = -b
-        phase = -phase
-    if np.abs(m - phase * np.kron(a, b)).max() > DEFAULT_TOL:
-        raise NotFactorable("gate does not factor into 2x2 blocks")
+        b, phase = -b, -phase
     return complex(phase), a, b
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import pi
+from math import inf, pi
 from typing import Callable
 
 import numpy as np
@@ -25,9 +25,9 @@ from .invariants import (
     local_invariants,
     solve_local_corrections,
 )
-from .linalg import _modulus, kron, phase_distance, read_only
+from .linalg import _modulus, is_unitary, kron, phase_distance, read_only
 from .sequences import GateSequence, collective_time, compose
-from .synthesis import cnot2_sequence, cnot3_sequence, spin_echo_u23, extract_factor, toffoli_sequence
+from .synthesis import cnot2_sequence, cnot3_sequence, spin_echo_u23, toffoli_sequence
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,9 @@ def check_spin_echo() -> Report:
     u23 = gates.u23_gate()
     target = kron(np.eye(2), u23)
     off = max(float(np.linalg.norm(u[:4, 4:])), float(np.linalg.norm(u[4:, :4])))
-    factor = extract_factor(u)
-    g1, g2 = local_invariants(factor)
+    factor = u[:4, :4]  # "phase distance to 1 x U23" covers the bottom block
+    # a wrong echo leaves no unitary factor, hence no class: its metric fails
+    g1, g2 = local_invariants(factor) if is_unitary(factor) else (inf, inf)
     adj = compose(spin_echo_u23(-1, 0))
     return Report(
         "spin-echo isolation of atoms 2 and 3",

@@ -149,12 +149,41 @@ def test_is_local_resolves_a_zz_coupling_of_1e_6(rng):
 
 
 def test_factor_local_rejects_a_zz_coupling_of_1e_6(rng):
-    # the residual is about 4 eps: rejected at 1e-6, factored at 1e-12
+    # is_local's rule decides: s1 / s0 is about eps, so rejected at 1e-6, factored at 1e-12
     with pytest.raises(NotFactorable, match="does not factor"):
         factor_local(_zz_coupled(1e-6, rng))
     gate = _zz_coupled(1e-12, rng)
     phase, a, b = factor_local(gate)
     assert np.abs(phase * kron(a, b) - gate).max() < 1e-11
+
+
+#: ZZ + 0.3 XX, the entangling generator of the near-local gates below.
+_ZZ_XX = np.diag([1.0, -1.0, -1.0, 1.0]) + 0.3 * np.fliplr(np.eye(4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-10.0, np.log10(3e-9)))
+def test_factor_local_splits_exactly_the_gates_is_local_accepts(seed, log_eps):
+    # (A x B) e^{i eps (ZZ + 0.3 XX)} (C x D), Haar sides: over this eps range the
+    # rearrangement's s1 / s0 straddles DEFAULT_TOL, so both verdicts occur
+    rng = np.random.default_rng(seed)
+    a, b, c, d = (haar_unitary(2, rng) for _ in range(4))
+    gate = kron(a, b) @ expm_hermitian(_ZZ_XX, -(10.0**log_eps)) @ kron(c, d)
+    try:
+        phase, fa, fb = factor_local(gate)
+    except NotFactorable:
+        assert not is_local(gate)
+        return
+    assert is_local(gate)
+    # the residual is the rearrangement's tail, s1 < DEFAULT_TOL s0 = 2 DEFAULT_TOL
+    assert np.abs(phase * kron(fa, fb) - gate).max() < 2 * DEFAULT_TOL
+
+
+@pytest.mark.parametrize("gate", [2 * np.eye(4), kron(np.diag([1.0, 0.5]), np.eye(2))])
+def test_factor_local_rejects_a_non_unitary_gate(gate):
+    # a tensor product, but not of unitaries: rejected as is_local rejects it
+    with pytest.raises(NotUnitary):
+        factor_local(gate)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (1, 4, 4)])

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from cavitygates import (
+    cli,
     evolution,
     gates,
     invariants,
@@ -81,6 +82,26 @@ def test_round_trip_pairs_are_drawn_on_first_use_not_at_import():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     code = "import cavitygates.verify as v; assert v._round_trip_pairs.cache_info().currsize == 0"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _entangling_echo(branch, k=0):
+    """A wrong echo: one collective pulse, which leaves atom 1 entangled with atoms 2 and 3."""
+    return sequences.GateSequence(3, (sequences.CollectiveEvolution(0.7 * branch),))
+
+
+def test_a_wrong_spin_echo_is_reported_not_raised(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "spin_echo_u23", _entangling_echo)
+    report = verify.check_spin_echo()
+    assert not report.passed
+    assert report.metrics[0].name == "off-diagonal block norm" and not report.metrics[0].passed
+    assert cli.main(["verify", "cnot3"]) == 1
+    assert "[FAIL] spin-echo isolation" in capsys.readouterr().out
+
+
+def test_the_spin_echo_factor_is_the_one_extract_factor_reads():
+    factor = synthesis.extract_factor(sequences.compose(synthesis.spin_echo_u23(+1, 0)))
+    artifact = verify.check_spin_echo().artifacts["extracted_factor"]
+    assert artifact == serialize.matrix_to_json(factor)
 
 
 def test_checks_and_public_functions_take_no_tolerance():
