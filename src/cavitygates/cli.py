@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isfinite, pi
+from math import pi
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,10 @@ def _fmt_angle(radians: float) -> str:
     return f"{radians / pi:.{ANGLE_DIGITS}g} pi"
 
 
+def _print_json(doc) -> None:  # strict JSON: a non-finite number raises, never prints Infinity
+    print(json.dumps(doc, allow_nan=False))
+
+
 def _load_gate(name_or_path: str) -> np.ndarray:
     path = Path(name_or_path)
     if path.is_file():
@@ -57,7 +61,7 @@ def _cmd_invariants(args) -> int:
     gate = _load_gate(args.gate)
     inv = local_invariants(gate)
     if args.json:
-        print(json.dumps(serialize.invariants_to_json(inv)))
+        _print_json(serialize.invariants_to_json(inv))
     else:
         # + 0.0 turns -0.0 into +0.0 for display
         print(f"g1 = {inv.g1.real + 0.0:+.12g}{inv.g1.imag + 0.0:+.12g}i")
@@ -73,7 +77,7 @@ def _cmd_evolve(args) -> int:
     else:
         u = evolve(args.atoms, args.phi, form)
     if args.json:
-        print(json.dumps(serialize.matrix_to_json(u)))
+        _print_json(serialize.matrix_to_json(u))
     else:
         print(
             f"# atoms={args.atoms} phi={_fmt_angle(args.phi)} form={form.value} "
@@ -96,14 +100,12 @@ def _cmd_synthesize(args) -> int:
     u = compose(seq)
     time = collective_time(seq)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "sequence": serialize.sequence_to_json(seq),
-                    "matrix": serialize.matrix_to_json(u),
-                    "collective_time": time,
-                }
-            )
+        _print_json(
+            {
+                "sequence": serialize.sequence_to_json(seq),
+                "matrix": serialize.matrix_to_json(u),
+                "collective_time": time,
+            }
         )
         return 0
     print(f"# {seq.label}: {len(seq.steps)} steps on {seq.n_atoms} atoms")
@@ -119,7 +121,7 @@ def _cmd_verify(args) -> int:
     failed = not all(report.passed for report in reports)
     if args.json:
         payload = [serialize.report_to_json(report) for report in reports]
-        print(json.dumps({"status": "fail" if failed else "pass", "reports": payload}))
+        _print_json({"status": "fail" if failed else "pass", "reports": payload})
     else:
         for report in reports:
             print(f"[{report.status.upper()}] {report.name}")
@@ -153,16 +155,13 @@ def _cmd_params(args) -> int:
             file=sys.stderr,
         )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "params": serialize.cavity_params_to_json(params),
-                    "eta": eta,
-                    "validity_ratio": ratio,
-                    # JSON has no infinity: an undefined time (eta = 0) is null
-                    "gate_times_s": {k: t if isfinite(t) else None for k, t in times.items()},
-                }
-            )
+        _print_json(
+            {
+                "params": serialize.cavity_params_to_json(params),
+                "eta": eta,
+                "validity_ratio": ratio,
+                "gate_times_s": {k: serialize._finite(t) for k, t in times.items()},
+            }
         )
         return 0
     print(f"eta = {eta:.6g} rad/s")

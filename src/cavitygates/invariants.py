@@ -17,8 +17,10 @@ the gates except where eigenvalue clusters of m merge, where a det -1
 polar factor has a repeated smallest singular value, or where Re tr a = 0.
 
 `local_invariants`, `is_local`, `are_equivalent` and `solve_local_corrections`
-also take stacks of gates, shape (..., 4, 4), elementwise.  No function here
-takes a tolerance: every check runs at the fixed
+also take stacks of gates, shape (..., 4, 4), elementwise.  Magic-basis changes
+are GEMMs over a stack's rows (`linalg._sandwich`), traces are sums (m is
+symmetric: Tr m^2 = sum m_ij^2), and real matrices multiply Re and Im apart.
+No function here takes a tolerance: every check runs at the fixed
 `linalg.DEFAULT_TOL`, and the solver's own thresholds are fixed too.
 """
 
@@ -36,7 +38,9 @@ from .errors import (
     NotFactorable,
     NotUnitary,
 )
-from .linalg import DEFAULT_TOL, _as_stack, _modulus, _unstack, dagger, is_unitary, read_only
+from .linalg import (
+    DEFAULT_TOL, _as_stack, _modulus, _sandwich, _unstack, dagger, is_unitary, read_only,
+)
 
 #: Magic-basis transformation, read-only: columns are the entangled basis states
 #: (|00>+|11>)/sqrt2, (i|01>+i|10>)/sqrt2, (|01>-|10>)/sqrt2,
@@ -75,6 +79,12 @@ def _check_two_qubit_unitary(u) -> np.ndarray:
     return m
 
 
+def _magic_symmetric(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gb = gate in the magic basis and m = gb^T gb, per gate of a (..., 4, 4) stack."""
+    gb = _sandwich(_MAGIC_DAGGER, gates, MAGIC_BASIS)
+    return gb, gb.swapaxes(-1, -2) @ gb
+
+
 def local_invariants(m_gate) -> LocalInvariants:
     """Local invariants (g1, g2) of a two-qubit unitary or of each gate of a stack.
 
@@ -82,17 +92,15 @@ def local_invariants(m_gate) -> LocalInvariants:
     and to determinants away from 1.  For unitary input g2 is real up
     to rounding.
     """
-    m = _check_two_qubit_unitary(m_gate)
-    mb = _MAGIC_DAGGER @ m @ MAGIC_BASIS
+    mb, mm = _magic_symmetric(_check_two_qubit_unitary(m_gate))
     det = np.linalg.det(mb)
-    mm = mb.swapaxes(-1, -2) @ mb
-    tr = mm.trace(axis1=-2, axis2=-1)
+    tr = np.einsum("...ii->...", mm)
     # Tr^2 m in real arithmetic: numpy's vectorized complex product rounds
     # unlike its scalar one, and a gate must give the same bits in a stack
     re, im = tr.real, tr.imag
     tr2 = (re * re - im * im) + 1j * (re * im + im * re)
     g1 = tr2 / (16.0 * det)
-    g2 = (tr2 - (mm @ mm).trace(axis1=-2, axis2=-1)) / (4.0 * det)
+    g2 = (tr2 - (mm * mm).sum((-2, -1))) / (4.0 * det)
     return LocalInvariants(_unstack(g1, complex), _unstack(g2, complex))
 
 
@@ -176,19 +184,14 @@ def _diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for weight in _DIAG_WEIGHTS:
         mt = m[todo]
         pt = np.linalg.eigh(mt.real / weight + weight * mt.imag)[1]
-        p[todo], d[todo] = pt, pt.swapaxes(-1, -2) @ mt @ pt
+        re_im = pt.swapaxes(-1, -2) @ np.stack([mt.real, mt.imag]) @ pt  # real products: P is real
+        p[todo], d.real[todo], d.imag[todo] = pt, *re_im
         todo = np.abs(d[:, _OFF_DIAGONAL]).max(axis=-1) >= 1e-10
         if not todo.any():
             return np.diagonal(d, axis1=-2, axis2=-1), p
     raise CavityGatesError(
         "failed to diagonalize a symmetric unitary in a real orthogonal basis"
     )
-
-
-def _magic_symmetric(gates: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gb = (gate / root) in the magic basis and m = gb^T gb, per gate of a (k, 4, 4) stack."""
-    gb = _MAGIC_DAGGER @ (gates / roots[:, None, None]) @ MAGIC_BASIS
-    return gb, gb.swapaxes(-1, -2) @ gb
 
 
 def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
@@ -222,8 +225,8 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     gates = _check_two_qubit_unitary(np.stack([m_in, l_in])).reshape(-1, 4, 4)  # [M; L]
     n = len(gates) // 2
     roots = np.linalg.det(gates) ** 0.25
-    gb, sym = _magic_symmetric(gates, roots)  # [mb; lb], [m; l]
-    t1, t2 = (x.trace(axis1=-2, axis2=-1) for x in (sym, sym @ sym))
+    gb, sym = _magic_symmetric(gates / roots[:, None, None])  # [mb; lb], [m; l]
+    t1, t2 = np.einsum("...ii->...", sym), (sym * sym).sum((-2, -1))  # sym^T = sym
     g = np.stack([t1 * t1 / 16.0, (t1 * t1 - t2) / 4.0])  # g1, g2 of unit-determinant gates
     if not (_modulus(g[:, :n] - g[:, n:]) < DEFAULT_TOL).all():
         raise NotEquivalent("gates have different local invariants")
@@ -231,7 +234,7 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     flip = (differ > DEFAULT_TOL) & (agree < differ)
     i = n + np.flatnonzero(flip)  # re-render those l with root * i
     roots[i] = roots[i] * 1j
-    gb[i], sym[i] = _magic_symmetric(gates[i], roots[i])
+    gb[i], sym[i] = _magic_symmetric(gates[i] / roots[i, None, None])
     e, p = _diagonalize_symmetric_unitary(sym)
     # pairs within DEFAULT_TOL may mix: merging eigenvalues d apart moves O_b by about d
     close = _modulus(e[:n, :, None] - e[n:, None, :]) <= DEFAULT_TOL
@@ -239,9 +242,10 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     det_p = np.linalg.det(p)  # reflect along the last singular vector to stay in SO(4)
     u[..., -1] *= np.sign(det_p[:n] * det_p[n:] * np.linalg.det(u @ vt))[:, None]
     o_b = p[:n] @ u @ vt @ p[n:].swapaxes(-1, -2)
-    if (np.abs(sym[:n] @ o_b - o_b @ sym[n:]).max(axis=(-2, -1)) > _MATCH_TOL).any():
+    re_im = np.stack([sym.real, sym.imag])  # o_b is real: m O - O l in real products
+    if (np.hypot(*(re_im[:, :n] @ o_b - o_b @ re_im[:, n:])).max(axis=(-2, -1)) > _MATCH_TOL).any():
         raise NotEquivalent("spectra of m and l could not be matched")
     o_prime_b = gb[n:] @ o_b.swapaxes(-1, -2) @ dagger(gb[:n])
-    o, o_prime = (MAGIC_BASIS @ x @ _MAGIC_DAGGER for x in (o_b, o_prime_b.real))
+    o, o_prime = (_sandwich(MAGIC_BASIS, x, _MAGIC_DAGGER) for x in (o_b, o_prime_b.real))
     phase = _unstack((roots[n:] / roots[:n]).reshape(m_in.shape[:-2]), complex)
     return LocalCorrectionPair(o.reshape(m_in.shape), o_prime.reshape(m_in.shape), phase)

@@ -5,6 +5,8 @@ Conventions:
     `is_unitary`, `hermitian_spectrum`, `expm_spectral` and `phase_distance` also
     take stacks (..., d, d), elementwise; `kron` and `phase_distance` raise
     DimensionMismatch for stacks that do not broadcast.
+  * numpy's stacked @ makes one small product per matrix, so `_sandwich` applies
+    fixed factors to a whole stack as GEMMs over its rows, and traces are sums.
   * Qubit ordering is big-endian: in a tensor product the first factor is
     qubit 1 and carries the most significant bit, so the two-qubit basis
     is ordered |00>, |01>, |10>, |11>.
@@ -43,6 +45,12 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     # the length in full, not -1, so that an empty stack reshapes
     re, im = (p.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1]) for p in (x.real, x.imag))
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ m @ right over a stack m (..., d, d) as two GEMMs on its rows: m right, (.)^T left^T."""
+    mr = (m.reshape(-1, right.shape[0]) @ right).reshape(m.shape).swapaxes(-1, -2)
+    return (mr.reshape(-1, left.shape[1]) @ left.T).reshape(m.shape).swapaxes(-1, -2)
 
 
 def dagger(a) -> np.ndarray:
@@ -133,10 +141,11 @@ def phase_distance(u, v):
 
     Zero (to machine precision) iff u = e^{i theta} v exactly.
     """
-    a = _as_stack(u)
-    b = _as_stack(v)
-    try:
-        theta = -np.angle(np.trace(dagger(a) @ b, axis1=-2, axis2=-1))
+    a, b = _as_stack(u), _as_stack(v)
+    try:  # Tr(a^dagger b) as an elementwise sum, which broadcasts more than @ would
+        if a.shape[-2:] != b.shape[-2:]:
+            raise ValueError
+        theta = -np.angle((a.conj() * b).sum((-2, -1)))
     except ValueError:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} do not match") from None
     return _unstack(_frobenius(a - np.exp(1j * theta)[..., None, None] * b), float)

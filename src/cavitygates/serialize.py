@@ -13,6 +13,8 @@ Cavity JSON:      {"g": .., "delta": .., "kappa": .., "nbar": ..,
 Report JSON:      {"name": .., "status": "pass" | "fail", "metrics":
                   [{"name": .., "value": .., "tolerance": .., "passed":
                   ..}], "artifacts": {..}}, artifacts only when present.
+A non-finite metric value or gate time is written as null, and the CLI dumps
+every --json output with allow_nan=False: what it prints is strict JSON.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ def _field(data, key: str):
     if not isinstance(data, dict) or key not in data:
         raise CavityGatesError(f"expected a JSON object with a {key!r} field")
     return data[key]
+
+
+def _finite(x):
+    return x if np.isfinite(x) else None
 
 
 def _typed(parse):
@@ -165,7 +171,7 @@ def report_to_json(report) -> dict:
         "name": report.name,
         "status": report.status,
         "metrics": [
-            {"name": m.name, "value": m.value, "tolerance": m.tolerance, "passed": m.passed}
+            {"name": m.name, "value": _finite(m.value), "tolerance": m.tolerance, "passed": m.passed}
             for m in report.metrics
         ],
     }

@@ -342,4 +342,10 @@ def run_checks(target: str) -> list[Report]:
         raise CavityGatesError(
             f"unknown verify target {target!r}; known: {', '.join(sorted(VERIFY_TARGETS))}"
         ) from None
-    return [check() for check in checks]
+    reports = []
+    for check in checks:
+        try:
+            reports.append(check())
+        except CavityGatesError as exc:  # a failing report; the other checks still run
+            reports.append(Report(check.__name__, (Metric("raised", 1.0, 0.0),), {"error": str(exc)}))
+    return reports

@@ -1,11 +1,14 @@
 import json
+from math import inf, nan
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cavitygates import cli, verify
 from cavitygates.cli import main
 from cavitygates.gates import cnot_gate, u23_gate
+from cavitygates.invariants import LocalInvariants
 from cavitygates.linalg import phase_distance
 from cavitygates.serialize import matrix_from_json, matrix_to_json, report_to_json
 from cavitygates.verify import run_checks
@@ -187,6 +190,29 @@ def test_params_json_is_strict_json_when_eta_is_zero(capsys, rates):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "cnot2: phase 0.5 pi -> inf s" in out
+
+
+def test_verify_json_writes_an_infinite_metric_as_null(monkeypatch, capsys):
+    def unbounded():
+        return verify.Report("unbounded", (verify.Metric("error", inf, 1e-9),))
+
+    monkeypatch.setitem(verify.VERIFY_TARGETS, "cnot2", (unbounded,))
+    code, out, _ = run(capsys, "verify", "cnot2", "--json")
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["status"] == "fail"
+    assert doc["reports"][0]["metrics"][0] == {
+        "name": "error", "value": None, "tolerance": 1e-9, "passed": False,
+    }
+
+
+def test_a_non_finite_number_in_json_output_is_an_error_not_nan(monkeypatch, capsys):
+    # every --json verb dumps strict JSON: a NaN fails the command, it is never printed
+    monkeypatch.setattr(cli, "local_invariants", lambda gate: LocalInvariants(nan, 1j))
+    code, out, err = run(capsys, "invariants", "cnot", "--json")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_params_warns_when_dispersive_limit_strained(capsys):

@@ -21,6 +21,7 @@ from cavitygates.invariants import (
 from cavitygates.linalg import (
     DEFAULT_TOL,
     _modulus,
+    _sandwich,
     dagger,
     expm_hermitian,
     is_unitary,
@@ -29,6 +30,19 @@ from cavitygates.linalg import (
 )
 
 from conftest import cnot2_core, haar_unitary
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_tr_m_squared_by_sum_equals_tr_m_squared_by_product(seed):
+    # m = M_B^T M_B is symmetric, so Tr m^2 = sum_ij m_ij m_ji = sum_ij m_ij^2
+    rng = np.random.default_rng(seed)
+    gates = np.array([haar_unitary(4, rng) for _ in range(8)])
+    _, m = invariants._magic_symmetric(gates)
+    by_sum = (m * m).sum((-2, -1))
+    by_product = np.trace(m @ m, axis1=-2, axis2=-1)
+    # |m_ij| <= 1: each is a sum of 16 products of size <= 1
+    assert np.abs(by_sum - by_product).max() < 16 * np.finfo(float).eps
 
 
 def test_magic_basis_is_unitary():
@@ -308,7 +322,8 @@ def _two_branch_reference(m_gate, l_gate):
     """The solver as it was before it picked the sign from the traces: after an
     are_equivalent pre-check, every pair tries the principal fourth root of
     det L, then root * i, and keeps the first whose correction passes
-    m O = O l.  Returns (o, o_prime, phase)."""
+    m O = O l.  Returns (o, o_prime, phase).  Its magic-basis changes use the
+    solver's `_sandwich` kernel, so that its bits can match the solver's."""
     if not np.all(are_equivalent(m_gate, l_gate)):
         raise NotEquivalent("gates have different local invariants")
     m_in, l_in = both = np.stack([m_gate, l_gate]).astype(complex).reshape(2, -1, 4, 4)
@@ -319,7 +334,7 @@ def _two_branch_reference(m_gate, l_gate):
         n = len(todo)
         roots = np.concatenate([det_root_m[todo], det_root_l[todo] * branch])
         unit_det = np.concatenate([m_in[todo], l_in[todo]]) / roots[:, None, None]
-        gb = _MAGIC_DAGGER @ unit_det @ MAGIC_BASIS
+        gb = _sandwich(_MAGIC_DAGGER, unit_det, MAGIC_BASIS)
         sym = gb.swapaxes(-1, -2) @ gb
         e, p = _diagonalize_symmetric_unitary(sym)
         close = _modulus(e[:n, :, None] - e[n:, None, :]) <= DEFAULT_TOL
@@ -330,8 +345,8 @@ def _two_branch_reference(m_gate, l_gate):
         o_prime_b = gb[n:] @ o_b.swapaxes(-1, -2) @ dagger(gb[:n])
         ok = np.abs(sym[:n] @ o_b - o_b @ sym[n:]).max(axis=(-2, -1)) <= _MATCH_TOL
         solved = todo[ok]
-        o[solved] = MAGIC_BASIS @ o_b[ok] @ _MAGIC_DAGGER
-        o_prime[solved] = MAGIC_BASIS @ o_prime_b[ok].real @ _MAGIC_DAGGER
+        o[solved] = _sandwich(MAGIC_BASIS, o_b[ok], _MAGIC_DAGGER)
+        o_prime[solved] = _sandwich(MAGIC_BASIS, o_prime_b[ok].real, _MAGIC_DAGGER)
         phase[solved] = roots[n:][ok] / roots[:n][ok]
         todo = todo[~ok]
     if len(todo):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from cavitygates.errors import DimensionMismatch, NotHermitian
 from cavitygates.gates import SIGMA_X, SIGMA_Z
 from cavitygates.linalg import (
+    _sandwich,
     dagger,
     expm_hermitian,
     is_hermitian,
@@ -157,6 +158,32 @@ def test_phase_distance_resolves_tiny_distances(rng):
 def test_phase_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         phase_distance(np.eye(2), np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "other", [np.ones((1, 4)), np.eye(8), np.ones((1, 1)), np.ones((3, 1, 1))],
+    ids=["(1, 4)", "(8, 8)", "(1, 1)", "(3, 1, 1)"],
+)
+def test_phase_distance_rejects_matrices_of_another_size(other):
+    # the overlap is an elementwise product, which alone would broadcast a
+    # (1, 1) matrix against a (4, 4) one: the matrix axes are checked first
+    for a, b in ((np.eye(4), other), (other, np.eye(4))):
+        with pytest.raises(DimensionMismatch):
+            phase_distance(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([2, 4, 8]), st.booleans())
+def test_sandwich_agrees_with_the_chained_product(seed, d, real):
+    rng = np.random.default_rng(seed)
+    left, right = haar_unitary(d, rng), haar_unitary(d, rng)
+    m = np.array([haar_unitary(d, rng) for _ in range(5)]).reshape(5, 1, d, d)
+    if real:
+        m = m.real
+    product = _sandwich(left, m, right)
+    assert product.shape == m.shape
+    # unit-norm rows and columns: every entry is a sum of d products of size <= 1
+    assert np.abs(product - left @ m @ right).max() < 4 * d * np.finfo(float).eps
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,6 +13,7 @@ from cavitygates import invariants
 from cavitygates.errors import CavityGatesError, DimensionMismatch, NotEquivalent, NotUnitary
 from cavitygates.gates import SIGMA_X, SIGMA_Y, SIGMA_Z, cnot_gate, swap_gate
 from cavitygates.invariants import (
+    _MAGIC_DAGGER,
     MAGIC_BASIS,
     are_equivalent,
     is_local,
@@ -20,6 +21,7 @@ from cavitygates.invariants import (
     solve_local_corrections,
 )
 from cavitygates.linalg import (
+    _sandwich,
     dagger,
     expm_hermitian,
     expm_spectral,
@@ -149,6 +151,21 @@ def test_leading_axes_are_kept(rng):
     assert pair.o.shape == pair.o_prime.shape == (2, 3, 4, 4) and pair.phase.shape == (2, 3)
     flat = solve_local_corrections(cores.reshape(6, 4, 4), targets.reshape(6, 4, 4))
     assert np.array_equal(pair.o.reshape(6, 4, 4), flat.o)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=130), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_a_sandwiched_stack_equals_a_loop_of_single_sandwiches(k, real, seed):
+    # one GEMM over a stack's rows gives each matrix the bits it gets alone, for the
+    # magic-basis changes into (complex gates) and out of (real o_b) the magic basis
+    rng = np.random.default_rng(seed)
+    m = np.array([haar_unitary(4, rng) for _ in range(k)])
+    if real:
+        m = m.real
+    for left, right in ((_MAGIC_DAGGER, MAGIC_BASIS), (MAGIC_BASIS, _MAGIC_DAGGER)):
+        stacked = _sandwich(left, m, right)
+        assert np.array_equal(stacked, _loop(lambda x: _sandwich(left, x, right), m))
+        assert np.array_equal(stacked.reshape(m.shape), _sandwich(left, m[:, None], right)[:, 0])
 
 
 EMPTY_STACK_CALLS = {

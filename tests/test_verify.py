@@ -98,6 +98,22 @@ def test_a_wrong_spin_echo_is_reported_not_raised(monkeypatch, capsys):
     assert "[FAIL] spin-echo isolation" in capsys.readouterr().out
 
 
+def test_a_check_that_raises_fails_its_report_and_the_others_still_run(monkeypatch, capsys):
+    # SWAP is not locally equivalent to its Haar core, so the round trip's solver raises
+    cores, targets = verify._round_trip_pairs()
+    targets = targets.copy()
+    targets[0] = gates.swap_gate()
+    monkeypatch.setattr(verify, "_round_trip_pairs", lambda: (cores, targets))
+    reports = verify.run_checks("all")
+    assert len(reports) == 12
+    failed = [report for report in reports if not report.passed]
+    assert [report.name for report in failed] == ["check_correction_round_trip"]
+    assert failed[0].artifacts == {"error": "gates have different local invariants"}
+    assert cli.main(["verify", "all"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 11 and "[FAIL] check_correction_round_trip" in out
+
+
 def test_the_spin_echo_factor_is_the_one_extract_factor_reads():
     factor = synthesis.extract_factor(sequences.compose(synthesis.spin_echo_u23(+1, 0)))
     artifact = verify.check_spin_echo().artifacts["extracted_factor"]
