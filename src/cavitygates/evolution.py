@@ -21,10 +21,10 @@ seconds enter only through `coupling_eta` for reporting.
 `evolve` is the ideal evolution under the linear-free Hamiltonian, and
 so also the compensated one for every nbar; all gate sequences use it.
 `thermal_evolve` keeps the linear term, as the raw reference the
-compensation layer must undo.  Every pulse is exp(-i phi (S^2 - S_z^2
-+ k S_z)): k = 1 (ladder), 0 (Casimir), 2 nbar + 1 (thermal, either
-form).  So one cached joint eigenbasis V of S^2 and S_z per atom count
-renders them all, as V e^{-i phi W} V^dagger with W = s2 - m^2 + k m.
+compensation layer must undo.  Every pulse is exp(-i phi (H_0 + c S_z)),
+c = 0 in `evolve`, H_0 from `build_hamiltonian`, its one definition.
+One cached joint eigenbasis V of S^2 and S_z per atom count diagonalizes
+both, so every pulse is V e^{-i phi W} V^dagger, W = H_0's diagonal + c m.
 """
 
 from __future__ import annotations
@@ -125,18 +125,18 @@ def build_hamiltonian(
     """Dimensionless Hamiltonian H / (hbar eta) for n atoms.
 
     With include_linear=False the form-specific linear S_z term is
-    dropped: LADDER gives S+ S-, CASIMIR gives S^2 - S_z^2.  With
-    include_linear=True, nbar must be finite (NonFiniteValue) and >= 0 (DegenerateParams).
+    dropped: LADDER gives S+ S-, CASIMIR gives S^2 - S_z^2.  nbar must be
+    finite (NonFiniteValue) and >= 0 (DegenerateParams) even then.
     """
     n = _check_atoms(n)
-    _check_form(form)
+    c = _linear_coefficient(form, nbar)  # checks form and nbar
     sz = collective_op("z", n)
     if form is HamiltonianForm.LADDER:
         h = collective_op("+", n) @ collective_op("-", n)
     else:
         h = s_squared(n) - sz @ sz
     if include_linear:
-        h = h + _linear_coefficient(form, nbar) * sz
+        h = h + c * sz
     return h
 
 
@@ -166,14 +166,13 @@ def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -
 
 @lru_cache(maxsize=None)
 def _basis(n: int) -> tuple:
-    """Read-only (v, v^dagger, m, rows) of n checked atoms: v diagonalizes S^2 and S_z, with
-    quarter-integer eigenvalues s2 and m; rows[form] = s2 - m^2 + k m, k = 1 - c(form, nbar=0)."""
+    """Read-only (v, v^dagger, m, rows) of n checked atoms: v diagonalizes S^2 and S_z; m and
+    rows[form] are the diagonals of S_z and `build_hamiltonian(n, form)` in v, quarter integers."""
     sz = collective_op("z", n)
     _, v, vh = hermitian_spectrum(s_squared(n) + sz / 2)  # sorted by j(j+1) + m/2, 1:1 for n <= 3
-    s2, m = (np.round(4 * np.diagonal(vh @ op @ v).real) / 4 for op in (s_squared(n), sz))
-    own_sz = ((form, 1.0 - _linear_coefficient(form, 0.0)) for form in HamiltonianForm)
-    rows = MappingProxyType({form: read_only(s2 - m * m + k * m) for form, k in own_sz})
-    return read_only(v), read_only(vh), read_only(m), rows
+    ops = (sz, *(build_hamiltonian(n, form) for form in HamiltonianForm))
+    m, *h0 = (read_only(np.round(4 * np.diagonal(vh @ op @ v).real) / 4) for op in ops)
+    return read_only(v), read_only(vh), m, MappingProxyType(dict(zip(HamiltonianForm, h0)))
 
 
 def _pulses(n: int, forms, phis, c=None) -> np.ndarray:

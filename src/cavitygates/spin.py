@@ -5,8 +5,8 @@ Sign conventions (fixed so that the collective evolution of two atoms
 reproduces its closed form in the computational basis, with |00> picking
 up the phase exp(-2 i phi)):
 
-  * |0> is the ground state and the +1 eigenstate of sigma_z.
-  * sigma_+ = |0><1|, sigma_- = |1><0|.
+  * |0> is the excited state and the +1 eigenstate of sigma_z: sigma_+ = |0><1|
+    absorbs a photon in the coupling g (a S_+ + a^dagger S_-); sigma_- = |1><0|.
   * S_{x,y,z} carry the customary 1/2; the ladder sums S_+- do not, so
     that S_+ S_- = S^2 - S_z^2 + S_z holds as an operator identity.
 """

@@ -12,6 +12,7 @@ from cavitygates.errors import (
     InvalidBranch,
     InvalidForm,
     InvalidQubits,
+    NonFiniteValue,
     NotUnitary,
 )
 from cavitygates.evolution import (
@@ -68,6 +69,15 @@ CASES = {
     ),
     "build_hamiltonian nbar < 0": (
         lambda: build_hamiltonian(2, LADDER, nbar=-1.0, include_linear=True),
+        DegenerateParams,
+    ),
+    # nbar is checked even where the linear term it scales is dropped
+    "build_hamiltonian H_0, nbar NaN": (
+        lambda: build_hamiltonian(2, LADDER, nbar=float("nan")),
+        NonFiniteValue,
+    ),
+    "build_hamiltonian H_0, nbar < 0": (
+        lambda: build_hamiltonian(2, LADDER, nbar=-5),
         DegenerateParams,
     ),
     "compose nbar < 0": (lambda: compose(cnot2_sequence(), nbar=-1.0), DegenerateParams),

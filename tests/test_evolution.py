@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cavitygates
+from cavitygates import evolution
 from cavitygates.errors import DegenerateParams, IndexOutOfRange, InvalidForm, NonFiniteValue
 from cavitygates.evolution import (
     CavityParams,
@@ -269,6 +270,30 @@ def test_basis_diagonalizes_s_squared_and_sz(n):
     assert np.array_equal(4 * s2, np.round(4 * s2))
     assert np.array_equal(2 * m, np.round(2 * m))
     assert np.array_equal(rows[LADDER], s2 - m * m + m)
+
+
+def _pulse_pairs():
+    """(evolve, thermal_evolve at nbar 1.5) for every atom count and form, phi = 0.7."""
+    return [(evolve(n, 0.7, form), thermal_evolve(n, 0.7, form, 1.5))
+            for n in (1, 2, 3) for form in HamiltonianForm]
+
+
+def test_ideal_pulses_read_h0_from_build_hamiltonian_not_the_thermal_coefficient(monkeypatch):
+    # H_0 has one definition: another thermal rule moves the thermal pulses only
+    def other_rule(form, nbar):
+        return -2.0 * (nbar + 1.0) if form is LADDER else -(2.0 * nbar + 1.0)
+
+    before = _pulse_pairs()
+    _basis.cache_clear()
+    monkeypatch.setattr(evolution, "_linear_coefficient", other_rule)
+    try:
+        after = _pulse_pairs()
+    finally:
+        monkeypatch.undo()
+        _basis.cache_clear()
+    for (ideal, thermal), (ideal_now, thermal_now) in zip(before, after):
+        assert np.array_equal(ideal_now, ideal)
+        assert not np.allclose(thermal_now, thermal)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -22,8 +22,8 @@ def test_pauli_embedding_slot():
     assert_allclose(pauli("z", 1, 2), np.diag([1, 1, -1, -1]))
 
 
-def test_ladder_product_is_ground_projector():
-    # sigma_+ sigma_- = |0><0| with |0> the ground state
+def test_ladder_product_is_excited_state_projector():
+    # sigma_+ sigma_- = |0><0| with |0> the excited state (see tests/test_tavis_cummings.py)
     assert_allclose(pauli("+", 1, 1) @ pauli("-", 1, 1), np.diag([1, 0]))
 
 

@@ -1,0 +1,64 @@
+"""The two-atom CNOT against the Tavis-Cummings model it is an approximation of.
+
+Two atoms and one cavity mode, cut at CUT photons, in the frame rotating at the
+atomic frequency, with no loss (kappa = 0):
+
+    H / Delta = -a^dagger a + (g / Delta) (a S_+ + a^dagger S_-),
+
+so sigma_+ = |0><1| absorbs a photon: |0> is the excited atomic state.  In the
+dispersive limit g / Delta -> 0 this gives the ladder form
+eta (S_+ S_- + 2 n S_z), eta = g^2 / Delta, on the photon-n block.  A pulse phi
+runs for the time t = phi / eta; rotations and the global phase act instantly,
+and with the field in Fock state n every ladder pulse is followed by
+`compensation_layer(2, LADDER, n, phi)`, the per-qubit R_z(-2 n phi).  The error
+of the adiabatic elimination is second order in g / Delta.
+"""
+
+import numpy as np
+import pytest
+
+from cavitygates.evolution import HamiltonianForm, compensation_layer
+from cavitygates.gates import cnot_gate
+from cavitygates.linalg import phase_distance
+from cavitygates.sequences import CollectiveEvolution, step_unitary
+from cavitygates.spin import collective_op
+from cavitygates.synthesis import cnot2_sequence
+
+CUT = 6
+_A = np.diag(np.sqrt(np.arange(1.0, CUT + 1)), 1)  # annihilation operator on Fock 0..CUT
+_FIELD = np.eye(CUT + 1)
+
+
+def _photon_block(ratio, n, absorb="+"):
+    """The atoms' block, field Fock n in and out, of `cnot2_sequence()` run on the
+    Tavis-Cummings model at g / Delta = ratio; absorb names the collective ladder
+    operator paired with a (the other one goes with a^dagger)."""
+    emit = "-" if absorb == "+" else "+"
+    h = -np.kron(np.eye(4), _A.T @ _A) + ratio * (
+        np.kron(collective_op(absorb, 2), _A) + np.kron(collective_op(emit, 2), _A.T))
+    w, v = np.linalg.eigh(h)
+    u = np.eye(4 * (CUT + 1), dtype=complex)
+    for step in cnot2_sequence().steps:
+        if isinstance(step, CollectiveEvolution):
+            assert step.form is HamiltonianForm.LADDER
+            # Delta t = phi / ratio^2
+            pulse = (v * np.exp(-1j * w * step.phi / ratio ** 2)) @ v.conj().T
+            u = np.kron(compensation_layer(2, step.form, n, step.phi), _FIELD) @ pulse @ u
+        else:
+            u = np.kron(step_unitary(step, 2), _FIELD) @ u
+    return u[n::CUT + 1, n::CUT + 1]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_the_cnot_error_falls_as_the_square_of_g_over_delta(n):
+    coarse, fine = (phase_distance(_photon_block(ratio, n), cnot_gate()) for ratio in (1e-2, 1e-3))
+    assert coarse < 2e-3
+    assert 50 < coarse / fine < 200
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_the_other_labelling_does_not_converge(n):
+    # a S_- + a^dagger S_+: |0> would be the ground state, and the ladder form's
+    # S_+ S_- its S_- S_+ instead
+    for ratio in (1e-2, 1e-3):
+        assert phase_distance(_photon_block(ratio, n, absorb="-"), cnot_gate()) > 2.5

@@ -1,10 +1,12 @@
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cavitygates import (
     cli,
@@ -98,12 +100,16 @@ def test_a_wrong_spin_echo_is_reported_not_raised(monkeypatch, capsys):
     assert "[FAIL] spin-echo isolation" in capsys.readouterr().out
 
 
-def test_a_check_that_raises_fails_its_report_and_the_others_still_run(monkeypatch, capsys):
-    # SWAP is not locally equivalent to its Haar core, so the round trip's solver raises
+def _swap_in_the_round_trip(monkeypatch):
+    """SWAP as the first round-trip target: not locally equivalent to its Haar core."""
     cores, targets = verify._round_trip_pairs()
     targets = targets.copy()
     targets[0] = gates.swap_gate()
     monkeypatch.setattr(verify, "_round_trip_pairs", lambda: (cores, targets))
+
+
+def test_a_check_that_raises_fails_its_report_and_the_others_still_run(monkeypatch, capsys):
+    _swap_in_the_round_trip(monkeypatch)  # so the round trip's solver raises
     reports = verify.run_checks("all")
     assert len(reports) == 12
     failed = [report for report in reports if not report.passed]
@@ -112,6 +118,74 @@ def test_a_check_that_raises_fails_its_report_and_the_others_still_run(monkeypat
     assert cli.main(["verify", "all"]) == 1
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 11 and "[FAIL] check_correction_round_trip" in out
+
+
+def _pulse_phases_off(monkeypatch):
+    """Every pulse, ideal or thermal, rendered at phi + 1e-3, wherever `_pulses` is bound, once
+    the named sequences are built: the checks compose right steps into wrong gates."""
+    synthesis.cnot2_sequence(), synthesis.toffoli_sequence(False), synthesis.toffoli_sequence(True)
+    pulses = evolution._pulses
+
+    def off(n, forms, phis, c=None):
+        return pulses(n, forms, np.add(phis, 1e-3), c)
+
+    for module in (evolution, sequences):
+        monkeypatch.setattr(module, "_pulses", off)
+
+
+def _thermal_pulses_without_c_m(monkeypatch):
+    """Thermal pulses rendered as the ideal ones: c m left out of their exponent rows."""
+    pulses = evolution._pulses
+    monkeypatch.setattr(evolution, "_pulses", lambda n, forms, phis, c=None: pulses(n, forms, phis))
+
+
+def _cnot2_pulses_a_turn_longer(monkeypatch):
+    """The cnot2 builder's pulses at pi/4 + 2 pi: the same gate, four times the time."""
+    pulse = sequences.CollectiveEvolution(np.pi / 4 + 2 * np.pi, evolution.HamiltonianForm.LADDER)
+    monkeypatch.setattr(synthesis, "_CNOT2_CORE", (pulse, synthesis._CNOT2_CORE[1], pulse))
+
+
+def _wrong_lowering_operator(monkeypatch):
+    """collective_op("-") returning S_+."""
+    op = spin.collective_op
+    monkeypatch.setattr(spin, "collective_op", lambda axis, n: op("+" if axis == "-" else axis, n))
+
+
+#: One fault per check, put into the library code the check measures, never its expectation.
+FAULTS = {
+    "check_two_atom_evolution": _pulse_phases_off,
+    "check_invariant_curve": _pulse_phases_off,
+    "check_cnot_invariants": lambda mp: mp.setattr(gates, "cnot_gate", gates.swap_gate),
+    "check_cnot2": _pulse_phases_off,
+    "check_spin_echo": lambda mp: mp.setattr(verify, "spin_echo_u23", _entangling_echo),
+    "check_cnot3": _pulse_phases_off,
+    "check_toffoli": _pulse_phases_off,
+    "check_gate_times": _cnot2_pulses_a_turn_longer,
+    "check_thermal_compensation": _thermal_pulses_without_c_m,
+    "check_correction_round_trip": _swap_in_the_round_trip,
+    "check_swap_not_cnot": lambda mp: mp.setattr(verify, "are_equivalent", lambda a, b: True),
+    "check_operator_identity": _wrong_lowering_operator,
+}
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_every_check_has_a_fault():
+    assert list(FAULTS) == [check.__name__ for check in verify.ALL_CHECKS]
+
+
+@pytest.mark.parametrize("index, check", enumerate(FAULTS))
+def test_each_check_fails_on_a_fault_in_the_code_it_measures(index, check, monkeypatch, capsys,
+                                                             fresh_synthesis):
+    FAULTS[check](monkeypatch)
+    assert not verify.run_checks("all")[index].passed
+    assert cli.main(["verify", "all"]) == 1
+    capsys.readouterr()
+    assert cli.main(["verify", "all", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["status"] == "fail" and doc["reports"][index]["status"] == "fail"
 
 
 def test_the_spin_echo_factor_is_the_one_extract_factor_reads():
