@@ -154,6 +154,8 @@ def _cmd_params(args) -> int:
             "the dispersive approximation is questionable",
             file=sys.stderr,
         )
+    if eta < 0:
+        print("warning: eta < 0; a pulse run for |phi / eta| implements U(-phi)", file=sys.stderr)
     if args.json:
         _print_json(
             {

@@ -4,9 +4,9 @@ A sequence step is one of
 
   * CollectiveEvolution(phi, form): the fixed collective interaction for
     dimensionless time phi = eta t, with the linear S_z terms understood
-    to be compensated away.  compose() renders it as `evolve` does, by
-    its form's exponent row in the eigenbasis `thermal_evolve` shares;
-    the ideal pulse equals the compensated thermal one for every nbar.
+    to be compensated away.  compose() renders it as `evolve` does, as
+    one phase per sector projector that `thermal_evolve` shares; the
+    ideal pulse equals the compensated thermal one for every nbar.
   * LocalLayer(rotations): single-qubit rotations, stored as (qubit,
     axis, angle) triples in application order; rotations on distinct
     qubits commute.  Assumed instantaneous relative to the collective
@@ -14,8 +14,8 @@ A sequence step is one of
   * GlobalPhase(theta): multiplies by e^{i theta}.
 
 Steps are listed in temporal order, the first acting first.  compose()
-renders one stack of factors (one per pulse; one per rotation, its 2x2
-written into a zeroed factor where a kron with identities puts it; one
+renders one stack of factors (one per pulse; one per rotation, sin(angle/2)
+times a cached -i sigma on its qubit plus cos(angle/2) on the diagonal; one
 per phase, on the diagonal) and multiplies neighbours pairwise, level by
 level; `step_unitary` runs the same path on one step.
 
@@ -37,9 +37,9 @@ import numpy as np
 
 from .errors import _check_finite, _check_non_negative, _check_qubit
 from .evolution import HamiltonianForm, _check_form, _pulses
-from .gates import _AXES, _check_rotation, _rotations
-from .linalg import kron, read_only
-from .spin import _check_atoms
+from .gates import _AXES, _check_rotation
+from .linalg import read_only
+from .spin import _check_atoms, _pauli
 
 
 @dataclass(frozen=True)
@@ -82,37 +82,34 @@ class GateSequence:
 
     def __post_init__(self):
         _check_atoms(self.n_atoms)
-        for step in self.steps:
-            if isinstance(step, LocalLayer):
+        for step in self.steps:  # exact types, as `_step_unitaries` dispatches on them
+            if type(step) is LocalLayer:
                 for qubit, _, _ in step.rotations:
                     _check_qubit(qubit, self.n_atoms)
-            elif not isinstance(step, (CollectiveEvolution, GlobalPhase)):
+            elif type(step) not in (CollectiveEvolution, GlobalPhase):
                 raise TypeError(f"unknown sequence step {step!r}")
 
 
 @lru_cache(maxsize=None)
-def _placements(n: int) -> np.ndarray:
-    """Read-only (n, 2, 2, d/2): the flat offsets in a d x d factor that entry (a, b)
-    of a 2x2 on each qubit fills, read off its kron with identities; n in 1..3."""
-    units = np.eye(4).reshape(4, 2, 2)
-    krons = np.array([kron(*(units if q == qubit else np.eye(2) for q in range(n)))
-                      for qubit in range(n)])
-    return read_only(krons.reshape(n, 2, 2, -1).nonzero()[3].reshape(n, 2, 2, -1))
+def _generators(n: int) -> np.ndarray:
+    """Read-only (3n, d, d) rotation generators: -i sigma_axis on each qubit, its kron with
+    identities, at row 3 (qubit - 1) + axis (an index into _AXES); n in 1..3."""
+    return read_only(-1j * np.array([_pauli(a, q, n) for q in range(1, n + 1) for a in _AXES]))
 
 
 def _step_unitaries(seq: GateSequence) -> np.ndarray:
-    """(k, d, d) stack of the factors in application order: one per pulse (all in one
-    `_pulses` call), one per rotation (its 2x2 written into a zeroed factor at
-    `_placements`), one per global phase (written onto the diagonal)."""
+    """(k, d, d) factors in application order: per pulse (one `_pulses` call), per rotation
+    (sin(angle/2) times its `_generators` row, plus cos(angle/2) on the diagonal), per phase."""
     n, d = seq.n_atoms, 2 ** seq.n_atoms
     k, pulses, rotations, phases = 0, [], [], []  # (position in the stack, step or fields)
     for step in seq.steps:
-        if isinstance(step, LocalLayer):
+        kind = type(step)
+        if kind is LocalLayer:
             for qubit, axis, angle in step.rotations:
-                rotations.append((k, qubit - 1, _AXES.index(axis), angle))
+                rotations.append((k, 3 * qubit - 3 + _AXES.index(axis), angle / 2))
                 k += 1
         else:
-            (pulses if isinstance(step, CollectiveEvolution) else phases).append((k, step))
+            (pulses if kind is CollectiveEvolution else phases).append((k, step))
             k += 1
     us = np.zeros((k, d, d), dtype=complex)
     flat = us.reshape(k, d * d)
@@ -120,9 +117,11 @@ def _step_unitaries(seq: GateSequence) -> np.ndarray:
         at, steps = zip(*pulses)
         us[list(at)] = _pulses(n, [p.form for p in steps], np.array([p.phi for p in steps]))
     if rotations:
-        at, qubits, axes, angles = zip(*rotations)
-        flat[np.array(at)[:, None, None, None], _placements(n)[list(qubits)]] = (
-            _rotations(list(axes), angles)[..., None])
+        at, rows, half = zip(*rotations)
+        half = np.array(half)
+        factors = _generators(n).take(rows, 0) * np.sin(half)[:, None, None]
+        factors.reshape(-1, d * d)[:, ::d + 1] += np.cos(half)[:, None]
+        us[list(at)] = factors
     if phases:
         at, steps = zip(*phases)
         flat[list(at), ::d + 1] = np.exp(1j * np.array([p.theta for p in steps]))[:, None]
@@ -130,12 +129,17 @@ def _step_unitaries(seq: GateSequence) -> np.ndarray:
 
 
 def _product(us: np.ndarray) -> np.ndarray:
-    """us[k-1] @ ... @ us[0], multiplied pairwise level by level, an odd last
-    factor carried up; the identity for an empty stack."""
-    while len(us) > 1:
-        pairs = us[1::2] @ us[:-1:2]
-        us = np.concatenate((pairs, us[-1:])) if len(us) % 2 else pairs
-    return us[0] if len(us) else np.eye(us.shape[-1], dtype=complex)
+    """us[k-1] @ ... @ us[0], multiplied pairwise level by level, an odd last factor carried
+    up, each level written into a reused buffer (us is one); the identity for an empty stack."""
+    k = len(us)
+    src, dst = us, np.empty(((k + 1) // 2, *us.shape[1:]), dtype=complex)
+    while k > 1:
+        pairs, odd = divmod(k, 2)
+        np.matmul(src[1:2 * pairs:2], src[:2 * pairs:2], out=dst[:pairs])
+        if odd:
+            dst[pairs] = src[k - 1]
+        src, dst, k = dst, src, pairs + odd
+    return src[0].copy() if k else np.eye(us.shape[-1], dtype=complex)  # frees the buffers
 
 
 def local_layer_unitary(layer: LocalLayer, n_atoms: int) -> np.ndarray:

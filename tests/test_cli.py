@@ -231,6 +231,19 @@ def test_params_warning_threshold(g, warns, capsys):
     assert ("warning" in err) is warns
 
 
+def test_params_warns_that_a_negative_eta_runs_the_inverse_pulse(capsys):
+    # delta < 0 makes eta < 0: the times are |phi / eta| and the JSON is as for delta > 0
+    rates = ("--g", "1e5", "--kappa", "1e5")
+    code, out, err = run(capsys, "params", *rates, "--delta=-1e7", "--json")
+    assert code == 0
+    assert "eta < 0" in err and "U(-phi)" in err
+    _, mirrored, err = run(capsys, "params", *rates, "--delta", "1e7", "--json")
+    assert "eta < 0" not in err
+    doc, mirrored = json.loads(out), json.loads(mirrored)
+    assert doc["eta"] == -mirrored["eta"]
+    assert doc["gate_times_s"] == mirrored["gate_times_s"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synthesize", "--bogus-flag"])

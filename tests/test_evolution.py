@@ -244,9 +244,9 @@ def test_build_hamiltonian_rejects_non_finite_nbar(form, nbar):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("form", list(HamiltonianForm))
 def test_cached_spectrum_is_read_only(n, form):
-    # the one basis, the S_z eigenvalues, the form's exponent row, and the map of rows
-    v, vh, m, rows = _basis(n)
-    for array in (v, vh, m, rows[form]):
+    # the sector projectors, the S_z values, the form's row of values, and the map of rows
+    projectors, m, rows = _basis(n)
+    for array in (projectors, m, rows[form]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -256,20 +256,33 @@ def test_cached_spectrum_is_read_only(n, form):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_basis_diagonalizes_s_squared_and_sz(n):
-    v, vh, m, rows = _basis(n)
-    sz = collective_op("z", n)
-    for op, eigenvalues in ((s_squared(n), rows[CASIMIR] + m * m), (sz, m)):
-        d = vh @ op @ v
-        assert np.abs(d - np.diag(np.diagonal(d))).max() < 1e-15
-        assert np.abs(np.diagonal(d) - eigenvalues).max() < 1e-14
+    projectors, m, rows = _basis(n)
+    d = 2 ** n
     s2 = rows[CASIMIR] + m * m
-    # the columns come sorted by j(j+1) + m/2, the eigenvalue of S^2 + S_z / 2 that tells
-    # every (j, m) apart; an eigenbasis of S^2 alone is ordered by j only
-    assert np.all(np.diff(s2 + m / 2) >= 0)
-    # the eigenvalues are exact quarter-integers, and each form's row is exactly its k
+    assert np.abs(np.tensordot(s2, projectors, 1).reshape(d, d) - s_squared(n)).max() < 1e-14
+    # one sector per (j, m), n + 1 of the largest j, and the two j = 1/2 doublets of three
+    # atoms share one per m; sorted by j(j+1) + m/2, the eigenvalue of S^2 + S_z / 2
+    assert len(m) == {1: 2, 2: 4, 3: 6}[n]
+    assert np.all(np.diff(s2 + m / 2) > 0)
+    # the values are exact quarter-integers, and each form's row is exactly its k
     assert np.array_equal(4 * s2, np.round(4 * s2))
     assert np.array_equal(2 * m, np.round(2 * m))
     assert np.array_equal(rows[LADDER], s2 - m * m + m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sector_projectors_resolve_the_identity_and_both_hamiltonians(n):
+    # independent of how the table is built: a complete set of orthogonal projectors on
+    # which each form's H_0 and S_z take the cached values
+    projectors, m, rows = _basis(n)
+    d = 2 ** n
+    pis = projectors.reshape(-1, d, d)
+    assert np.abs(pis.sum(0) - np.eye(d)).max() < 1e-15
+    assert np.abs(pis @ pis - pis).max() < 1e-15
+    assert np.abs(sum(m_s * p for m_s, p in zip(m, pis)) - collective_op("z", n)).max() < 1e-14
+    for form in HamiltonianForm:
+        h = sum(h_s * p for h_s, p in zip(rows[form], pis))
+        assert np.abs(h - build_hamiltonian(n, form)).max() < 1e-14
 
 
 def _pulse_pairs():
@@ -296,11 +309,21 @@ def test_ideal_pulses_read_h0_from_build_hamiltonian_not_the_thermal_coefficient
         assert not np.allclose(thermal_now, thermal)
 
 
+@st.composite
+def _pulse_stacks(draw):
+    """(forms, phis, nbars) of a stack of 1 to 12 pulses."""
+    k = draw(st.integers(1, 12))
+    forms = draw(st.lists(st.sampled_from(list(HamiltonianForm)), min_size=k, max_size=k))
+    phis = draw(st.lists(st.floats(-20.0, 20.0), min_size=k, max_size=k))
+    nbars = draw(st.lists(st.floats(0.0, 20.0), min_size=k, max_size=k))
+    return forms, np.array(phis), nbars
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_mixed_pulse_stack_is_the_per_pulse_calls_bit_for_bit(n):
-    forms = [LADDER, CASIMIR, CASIMIR, LADDER, CASIMIR]
-    phis = np.array([0.0, 0.7, -2.1, np.pi / 4, 5.5])
-    nbars = np.array([0.0, 0.5, 3.7, 1.25, 10.0])
+@settings(max_examples=100, deadline=None)
+@given(stack=_pulse_stacks())
+def test_mixed_pulse_stack_is_the_per_pulse_calls_bit_for_bit(n, stack):
+    forms, phis, nbars = stack
     coeffs = np.array([_linear_coefficient(f, nbar) for f, nbar in zip(forms, nbars)])
     ideal = [evolve(n, phi, f) for f, phi in zip(forms, phis)]
     thermal = [thermal_evolve(n, phi, f, nbar) for f, phi, nbar in zip(forms, phis, nbars)]

@@ -25,7 +25,7 @@ from cavitygates.sequences import (
     GateSequence,
     GlobalPhase,
     LocalLayer,
-    _placements,
+    _generators,
     collective_time,
     compose,
     local_layer_unitary,
@@ -149,8 +149,8 @@ PLACEMENT_ANGLES = (0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2,
 
 
 def _bytes(u):
-    """u's bytes with -0.0 read as +0.0: a factor written into zeros holds +0.0
-    where the complex products of a kron with identities may round to -0.0."""
+    """u's bytes with -0.0 read as +0.0: a rendered factor and the complex products of a
+    kron with identities may give a zero entry different signs."""
     return (u + 0.0).tobytes()
 
 
@@ -172,15 +172,15 @@ def test_global_phase_is_written_onto_the_diagonal(n):
         assert _bytes(u) == _bytes(np.exp(1j * theta) * np.eye(2 ** n)), theta
 
 
-def test_placement_table_is_read_only_and_built_on_first_use():
+def test_rotation_table_is_read_only_and_built_on_first_use():
     src = str(Path(cavitygates.__file__).resolve().parents[1])
     paths = (src, os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    code = "import cavitygates.sequences as s; assert s._placements.cache_info().currsize == 0"
+    code = "import cavitygates.sequences as s; assert s._generators.cache_info().currsize == 0"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     for n in (1, 2, 3):
-        table = _placements(n)
-        assert table.shape == (n, 2, 2, 2 ** (n - 1)) and _placements(n) is table
+        table = _generators(n)
+        assert table.shape == (3 * n, 2 ** n, 2 ** n) and _generators(n) is table
         with pytest.raises(ValueError):
             table[0] = 0
 
@@ -240,9 +240,16 @@ def test_direct_step_unitary_rejects_bad_register(render, step, n_atoms):
         render(step, n_atoms)
 
 
+class _Phase(GlobalPhase):
+    pass
+
+
 def test_sequence_rejects_unknown_step_type():
     with pytest.raises(TypeError):
         GateSequence(2, (np.eye(4),))
+    # the steps are rendered by their exact type, so a subclass is another type
+    with pytest.raises(TypeError):
+        GateSequence(2, (_Phase(0.3),))
 
 
 @settings(max_examples=200, deadline=None)

@@ -117,7 +117,7 @@ def test_stacked_calls_equal_a_loop_of_single_calls(drawn):
     scales = rng.uniform(-20.0, 20.0, size=len(cores))
 
     def single(w1, v1, vh1, scale):
-        return expm_spectral(w1, v1, vh1, float(scale))  # a Python float, as evolve passes
+        return expm_spectral(w1, v1, vh1, float(scale))  # a float, as expm_hermitian passes
 
     assert np.array_equal(expm_spectral(w, v, vh, scales), _loop(single, w, v, vh, scales))
 

@@ -17,7 +17,7 @@ of the adiabatic elimination is second order in g / Delta.
 import numpy as np
 import pytest
 
-from cavitygates.evolution import HamiltonianForm, compensation_layer
+from cavitygates.evolution import VALIDITY_WARN_THRESHOLD, HamiltonianForm, compensation_layer
 from cavitygates.gates import cnot_gate
 from cavitygates.linalg import phase_distance
 from cavitygates.sequences import CollectiveEvolution, step_unitary
@@ -62,3 +62,12 @@ def test_the_other_labelling_does_not_converge(n):
     # S_+ S_- its S_- S_+ instead
     for ratio in (1e-2, 1e-3):
         assert phase_distance(_photon_block(ratio, n, absorb="-"), cnot_gate()) > 2.5
+
+
+def test_the_error_at_the_validity_threshold_is_the_stated_one():
+    # validity ratio g sqrt(2) / Delta at the warning threshold: the VALIDITY_WARN_THRESHOLD
+    # comment and the README state 1 - F = 1.9e-2 and a phase distance of 3.1e-2 there
+    block = _photon_block(VALIDITY_WARN_THRESHOLD / np.sqrt(2), 0)
+    infidelity = 1 - abs(np.trace(cnot_gate().conj().T @ block)) ** 2 / 16
+    assert 1.9e-2 / 2 < infidelity < 1.9e-2 * 2
+    assert 3.1e-2 / 2 < phase_distance(block, cnot_gate()) < 3.1e-2 * 2
