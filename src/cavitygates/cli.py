@@ -128,6 +128,8 @@ def _cmd_verify(args) -> int:
             for m in report.metrics:
                 flag = "ok  " if m.passed else "FAIL"
                 print(f"    {flag} {m.name}: {m.value:.3e} (tol {m.tolerance:.1e})")
+            if "error" in report.artifacts:  # why a check that raised failed
+                print(f"    error: {report.artifacts['error']}")
     return 1 if failed else 0
 
 

@@ -2,7 +2,7 @@
 
 Conventions:
   * Operators are square complex128 ndarrays.  `dagger`, `kron`, `is_hermitian`,
-    `is_unitary`, `hermitian_spectrum`, `expm_spectral` and `phase_distance` also
+    `is_unitary`, `hermitian_spectrum`, `expm_hermitian` and `phase_distance` also
     take stacks (..., d, d), elementwise; `kron` and `phase_distance` raise
     DimensionMismatch for stacks that do not broadcast.
   * numpy's stacked @ makes one small product per matrix, so `_sandwich` applies
@@ -112,23 +112,15 @@ def hermitian_spectrum(h) -> tuple[np.ndarray, ...]:
     return w, v, dagger(v)
 
 
-def expm_spectral(w: np.ndarray, v: np.ndarray, vh: np.ndarray, scale=1.0) -> np.ndarray:
-    """exp(-i * scale * h) from the spectrum (w, v, v^dagger) of a Hermitian h;
-    spectra (..., d), (..., d, d) and a scale array (...) broadcast elementwise."""
-    z = -1j * (scale[..., None] if isinstance(scale, np.ndarray) else scale)
-    return (v * np.exp(z * w)[..., None, :]) @ vh
-
-
 def expm_hermitian(h, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * h) for Hermitian h, via eigendecomposition.
-
-    Diagonalizing keeps the result unitary to machine precision at these
-    matrix sizes, unlike a truncated series.
+    """exp(-i * scale * h) for Hermitian h (or a stack), via eigendecomposition, which
+    keeps it unitary to machine precision at these sizes, unlike a truncated series.
 
     Raises:
-        NotHermitian: if h fails the Hermiticity check.
+        NotHermitian: if h (any matrix of a stack) fails the Hermiticity check.
     """
-    return expm_spectral(*hermitian_spectrum(h), scale)
+    w, v, vh = hermitian_spectrum(h)
+    return (v * np.exp(-1j * scale * w)[..., None, :]) @ vh
 
 
 def phase_distance(u, v):

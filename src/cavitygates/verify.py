@@ -8,6 +8,7 @@ a single source of truth for what "correct" means.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf, pi
@@ -19,12 +20,7 @@ from . import evolution, gates, spin
 from .errors import CavityGatesError
 from .serialize import matrix_to_json
 from .evolution import HamiltonianForm, build_hamiltonian
-from .invariants import (
-    are_equivalent,
-    is_local,
-    local_invariants,
-    solve_local_corrections,
-)
+from .invariants import are_equivalent, is_local, local_invariants, solve_local_corrections
 from .linalg import _modulus, is_unitary, kron, phase_distance, read_only
 from .sequences import GateSequence, collective_time, compose
 from .synthesis import cnot2_sequence, cnot3_sequence, spin_echo_u23, toffoli_sequence
@@ -253,11 +249,21 @@ def _haar_unitary(normals: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
+def _round_trip_normals(count: int, seed: int) -> np.ndarray:
+    """`count` standard normals: stdlib random.Random(seed).randbytes read as little-endian
+    uint64 >> 11, uniforms (bits + 1) / 2^53 in (0, 1], and Box-Muller
+    sqrt(-2 ln u1) (cos 2 pi u2, sin 2 pi u2) on each consecutive pair (u1, u2)."""
+    bits = np.frombuffer(random.Random(seed).randbytes(count * 8), dtype="<u8") >> 11
+    u1, u2 = ((bits + 1) / 2.0**53).reshape(-1, 2).T
+    radius, angle = np.sqrt(-2 * np.log(u1)), 2 * pi * u2
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], -1).ravel()
+
+
 def _round_trip_draws(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial a Haar 4x4 core and four Haar 2x2 sides, drawn in the order
-    16 real, 16 imaginary normals of the core, then 4 real, 4 imaginary of
-    each side."""
-    draws = np.random.default_rng(seed).normal(size=(trials, 64))
+    """Per trial a Haar 4x4 core and four Haar 2x2 sides from the next 64 normals of
+    `_round_trip_normals`: 16 real, 16 imaginary of the core, then 4 real, 4 imaginary
+    of each side a, b, c, d."""
+    draws = _round_trip_normals(trials * 64, seed).reshape(trials, 64)
     cores = _haar_unitary(draws[:, :32].reshape(trials, 2, 4, 4))
     sides = _haar_unitary(draws[:, 32:].reshape(trials, 4, 2, 2, 2))
     return cores, sides

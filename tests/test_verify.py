@@ -21,19 +21,27 @@ from cavitygates import (
     verify,
 )
 
-from conftest import haar_unitary
-
 
 def test_round_trip_draws_match_sequential_haar_draws():
-    # the batched draws reproduce, bit for bit, one Haar draw per matrix
-    # in the order m, a, b, c, d of each trial
-    rng = np.random.default_rng(20050517)
+    # the batched draws reproduce, bit for bit, one Haar draw per matrix from
+    # consecutive slices of the normals (built once: np.log and np.cos may round a
+    # stack unlike one value), in the order m, a, b, c, d of each trial
+    ends = np.cumsum([32, 8, 8, 8, 8] * 7)[:-1]
+    normals = iter(np.split(verify._round_trip_normals(7 * 64, 20050517), ends))
     cores, sides = verify._round_trip_draws(7, 20050517)
     assert cores.shape == (7, 4, 4) and sides.shape == (7, 4, 2, 2)
     for core, side in zip(cores, sides):
-        assert np.array_equal(core, haar_unitary(4, rng))
+        assert np.array_equal(core, verify._haar_unitary(next(normals).reshape(2, 4, 4)))
         for factor in side:
-            assert np.array_equal(factor, haar_unitary(2, rng))
+            assert np.array_equal(factor, verify._haar_unitary(next(normals).reshape(2, 2, 2)))
+
+
+def test_round_trip_normals_are_standard_and_the_draws_unitary():
+    x = verify._round_trip_normals(verify.ROUND_TRIPS * 64, verify.ROUND_TRIP_SEED)
+    assert x.size == 6400 and abs(x.mean()) < 0.05 and abs(x.var() - 1) < 0.05
+    assert 0.04 <= np.mean(np.abs(x) > 1.96) <= 0.06
+    cores, sides = verify._round_trip_draws(verify.ROUND_TRIPS, verify.ROUND_TRIP_SEED)
+    assert linalg.is_unitary(cores).all() and linalg.is_unitary(sides).all()
 
 
 def test_two_atom_evolution_metric_is_the_one_pulse_loop_bit_for_bit():
@@ -78,12 +86,24 @@ def test_round_trip_pairs_are_cached_read_only_draws():
     assert np.array_equal(targets, dressed)
 
 
-def test_round_trip_pairs_are_drawn_on_first_use_not_at_import():
+def _src_env():
+    """The environment with the imported cavitygates' directory first on PYTHONPATH."""
     src = str(Path(verify.__file__).resolve().parents[1])
     paths = (src, os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def test_round_trip_pairs_are_drawn_on_first_use_not_at_import():
     code = "import cavitygates.verify as v; assert v._round_trip_pairs.cache_info().currsize == 0"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
+
+
+def test_all_checks_load_no_numpy_random_that_the_import_did_not():
+    # numpy 1.x loads numpy.random with numpy itself; the checks must not add it
+    code = ("import sys, cavitygates; from cavitygates.verify import run_checks; "
+            "loaded = 'numpy.random' in sys.modules; run_checks('all'); "
+            "assert ('numpy.random' in sys.modules) == loaded")
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
 
 
 def _entangling_echo(branch, k=0):
@@ -118,6 +138,10 @@ def test_a_check_that_raises_fails_its_report_and_the_others_still_run(monkeypat
     assert cli.main(["verify", "all"]) == 1
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 11 and "[FAIL] check_correction_round_trip" in out
+    # the reason follows the failing report's metric lines, and no other report has one
+    reason = "    error: gates have different local invariants\n"
+    assert "    FAIL raised: 1.000e+00 (tol 0.0e+00)\n" + reason in out
+    assert out.count("\n    error: ") == 1
 
 
 def _pulse_phases_off(monkeypatch):
