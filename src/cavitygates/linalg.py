@@ -131,13 +131,17 @@ def phase_distance(u, v):
     sqrt(2 d - 2 |Tr(u^dagger v)|), whose cancellation error floors near
     sqrt(machine eps) and would mask agreement better than ~1e-8.
 
-    Zero (to machine precision) iff u = e^{i theta} v exactly.
+    Zero (to machine precision) iff u = e^{i theta} v exactly, and exactly
+    0.0 for u = v: Im Tr(u^dagger v) is the difference of two separately
+    rounded real sums, which cancel exactly there (a complex product may
+    round u_re u_im - u_im u_re through a fused multiply-add to nonzero).
     """
     a, b = _as_stack(u), _as_stack(v)
-    try:  # Tr(a^dagger b) as an elementwise sum, which broadcasts more than @ would
+    try:  # Tr(a^dagger b) as elementwise sums, which broadcast more than @ would
         if a.shape[-2:] != b.shape[-2:]:
             raise ValueError
-        theta = -np.angle((a.conj() * b).sum((-2, -1)))
+        im = (a.real * b.imag).sum((-2, -1)) - (a.imag * b.real).sum((-2, -1))
+        theta = -np.arctan2(im, (a.conj() * b).real.sum((-2, -1)))
     except ValueError:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} do not match") from None
     return _unstack(_frobenius(a - np.exp(1j * theta)[..., None, None] * b), float)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cavitygates.errors import DimensionMismatch, NotHermitian
-from cavitygates.gates import SIGMA_X, SIGMA_Z
+from cavitygates.gates import SIGMA_X, SIGMA_Z, controlled_not, toffoli_gate
 from cavitygates.linalg import (
     _sandwich,
     dagger,
@@ -14,6 +14,8 @@ from cavitygates.linalg import (
     kron,
     phase_distance,
 )
+from cavitygates.sequences import compose
+from cavitygates.synthesis import cnot2_sequence, cnot3_sequence, spin_echo_u23, toffoli_sequence
 
 from conftest import haar_unitary
 
@@ -136,6 +138,23 @@ def test_phase_distance_trivial_cases(rng):
     assert phase_distance(u, u) == pytest.approx(0.0, abs=1e-14)
     for alpha in (0.1, 2.5, -1.0):
         assert phase_distance(u, np.exp(1j * alpha) * u) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_phase_distance_of_a_composed_gate_to_itself_is_exactly_zero():
+    # Im Tr(u^dagger u) cancels exactly; as one complex product it kept about 1e-32
+    cnot2 = compose(cnot2_sequence())
+    assert phase_distance(cnot2, cnot2) == 0.0
+    three = np.array([compose(seq) for seq in (
+        spin_echo_u23(+1), toffoli_sequence(False), toffoli_sequence(True), cnot3_sequence())])
+    assert phase_distance(three, three).tolist() == [0.0] * 4
+    assert [phase_distance(u, u) for u in three] == [0.0] * 4
+    # and a stack still gives each gate the bits it gets alone
+    simplified = np.diag([1, 1, 1, 1, 1, -1, 1, 1]) @ toffoli_gate()  # |101> flips sign
+    targets = np.array([compose(spin_echo_u23(-1)).conj().T, toffoli_gate(), simplified,
+                        controlled_not(3, 2, 3)])
+    stacked = phase_distance(three, targets)
+    assert stacked.tolist() == [phase_distance(u, t) for u, t in zip(three, targets)]
+    assert stacked.max() < 1e-13
 
 
 def test_phase_distance_identity_vs_not():
