@@ -3,8 +3,8 @@
 The fixed interaction alone never reaches the CNOT class, but two pi/4
 pulses with a pi pulse on atom 1 in between do: the flip reverses atom
 1's coupling so half the interaction rewinds, spin-echo style.  The
-remaining one-qubit corrections come from the invariants machinery and
-the whole sequence composes to the canonical CNOT exactly.
+remaining one-qubit corrections are closed-form rotations by multiples
+of pi/4, and the whole sequence composes to the canonical CNOT exactly.
 """
 
 import numpy as np

@@ -3,33 +3,42 @@
 Construction strategy, common to both registers: two pulses of the
 collective evolution with a single-qubit pulse in between form a core
 that carries the right entangling power (local invariants (0, 1), the
-CNOT class); the one-qubit corrections that turn the core into an exact
-CNOT are solved once per register, by `invariants.solve_local_corrections`
-on the core as `compose` renders its steps (for three atoms, on its 4x4
-factor on atoms 2 and 3), and stored as rotation layers.
+CNOT class); fixed one-qubit layers before and after the core and a
+global phase theta turn it into the exact CNOT.  Every angle is a closed
+form in pi/4 and phi_f, derived below (|0> is the excited state, R_a(t) =
+exp(-i t sigma_a / 2), layers written in application order).
 
-  * Two atoms: the core U(pi/4) (R_y(pi) x 1) U(pi/4) uses the ladder
-    form of the Hamiltonian; the middle pi pulse reverses atom 1 between
-    the two evolutions, spin-echo fashion.  Total interaction phase
-    pi/2.
+  * Two atoms: the core C = U(pi/4) (R_y(pi) x 1) U(pi/4) uses the ladder
+    form of the Hamiltonian, S+ S- = (2 + Z1 + Z2)/2 + (XX + YY)/2; the
+    middle pi pulse reverses atom 1 between the two evolutions, spin-echo
+    fashion.  Total interaction phase pi/2.  C keeps atom 1's axis
+    a = (X + Y)/sqrt(2) local, C (a x 1) C^dagger = a' x 1 with
+    a' = (Y - X)/sqrt(2), so it is a gate on atom 2 controlled by atom 1
+    along a, and its two branches differ by a pi rotation: the CNOT class.
+    Pre z(-pi/4), y(pi/2), z(pi/4) on atom 1 turns Z1 into a; post
+    z(pi/4), y(pi/2), z(-pi/4) turns a' back into Z1; z(pi/4) before and
+    z(3 pi/4), y(pi/2), z(pi/2) after on atom 2 make the branches
+    e^{-i pi/4} 1 and e^{-i pi/4} X, so theta = pi/4.
   * Three atoms: a NOT pulse on the idle atom between two collective
     pulses of phi = 2 pi/3 cancels that atom's coupling entirely,
     leaving 1 x U23 with U23 = exp(-i pi/3 sigma_z x sigma_z) on the
-    other two; two such blocks around R_y(phi_f) with
-    tan(phi_f/2) = 1/sqrt(2) form the CNOT-class core.
+    other two; two such blocks around R_y(phi_f) on the target, with
+    tan(phi_f/2) = 1/sqrt(2), form the core.  U23 is R_z(+-2 pi/3) on the
+    target for the control in |0>, |1>, so the core is controlled
+    W_+- = R_z(+-2 pi/3) R_y(phi_f) R_z(+-2 pi/3); cos phi_f = 1/3 makes
+    tr(W_+^dagger W_-) = 0, a pi rotation: the CNOT class.  Pre
+    y(pi - phi_f/2) and post z(-pi/2), y(pi/2), z(-(3 pi/2 - phi_f/2)) on
+    the target give the branches 1 and i X; z(-pi/2) on the control turns
+    both into e^{i pi/4}, so theta = -pi/4.
 
-The corrections make every composed sequence equal its target gate to
-machine precision, global phase included (an explicit final step).
-Each named sequence is a constant: `cnot2_sequence`, `cnot3_sequence` and
-`toffoli_sequence` build it on first use and return that one immutable
-GateSequence for every later call with the same valid arguments, the Toffolis
-spliced from the cached CNOT blocks' steps; `spin_echo_u23` is built afresh,
-as its k is unbounded.
-
-Cores moved by e^{i eps H} keep continuous angles while the CNOT class's degenerate
-eigenvalue pairs stay merged (tested to eps = 1e-11); beyond that the layers may jump,
-but every sequence stays exact to about eps.  The edge is NotEquivalent: a pulse error
-fails the spectra match ("could not be matched") before the invariants move past DEFAULT_TOL.
+The composed sequences equal their target gates entrywise to rounding,
+global phase included (an explicit final step); tests re-derive the layers
+with `invariants.solve_local_corrections` on each core as `compose`
+renders it.  Each named sequence is a constant: `cnot2_sequence`,
+`cnot3_sequence` and `toffoli_sequence` build it on first use and return
+that one immutable GateSequence for every later call with the same valid
+arguments, the Toffolis spliced from the cached CNOT blocks' steps;
+`spin_echo_u23` is built afresh, as its k is unbounded.
 """
 
 from __future__ import annotations
@@ -41,55 +50,23 @@ import numpy as np
 
 from .errors import InvalidBranch, NotFactorable, _check_control_target, _is_integer
 from .evolution import HamiltonianForm
-from .gates import _SMALL_HALF_ANGLE, cnot_gate, zyz_angles
-from .invariants import factor_local, solve_local_corrections
 from .linalg import DEFAULT_TOL, _as_stack
-from .sequences import (
-    CollectiveEvolution,
-    GateSequence,
-    GlobalPhase,
-    LocalLayer,
-    compose,
-)
+from .sequences import CollectiveEvolution, GateSequence, GlobalPhase, LocalLayer
 
 #: Middle-pulse angle of the three-atom CNOT core, tan(phi_f/2) = 1/sqrt(2).
 CNOT3_MIDDLE_ANGLE = 2.0 * atan(1.0 / sqrt(2.0))
 
-#: Global phases the CNOT corrections are solved for.
+#: Global phases theta of the CNOT sequences' final steps.
 CNOT2_GLOBAL_PHASE = pi / 4
 CNOT3_GLOBAL_PHASE = -pi / 4
-
-
-def _euler_triples(qubit: int, u2: np.ndarray) -> tuple[tuple[int, str, float], ...]:
-    """z-y-z rotation triples (application order) realizing u2 in SU(2), zero angles dropped."""
-    alpha, beta, gamma = zyz_angles(u2)
-    triples = []
-    for axis, angle in (("z", gamma), ("y", beta), ("z", alpha)):
-        if abs(angle) / 2 >= _SMALL_HALF_ANGLE:
-            triples.append((qubit, axis, angle))
-    return tuple(triples)
-
-
-def _layer_from_local(u4) -> LocalLayer:
-    """Rotation layer on qubits 1, 2 realizing u4 exactly: `factor_local` leaves a phase
-    of 1 for every u4 in SU(2) x SU(2), -(a x b) too; any other phase is rejected."""
-    phase, a, b = factor_local(u4)
-    if abs(phase - 1.0) >= DEFAULT_TOL:
-        raise NotFactorable(f"cannot absorb phase {phase} into rotation layers")
-    return LocalLayer(_euler_triples(1, a) + _euler_triples(2, b))
-
-
-def _correction_layers(core, phase_step: float):
-    """Pre/post rotation layers and theta with e^{i theta} * post @ core @ pre = CNOT, exactly:
-    theta is phase_step plus the solved pair's residual angle (the core's own global phase)."""
-    pair = solve_local_corrections(core, np.exp(-1j * phase_step) * cnot_gate())
-    pre, post = (_layer_from_local(o) for o in (pair.o, pair.o_prime))
-    return pre, post, phase_step + float(np.angle(pair.phase))
-
 
 _CNOT2_PULSE = CollectiveEvolution(pi / 4, HamiltonianForm.LADDER)
 #: Two-atom CNOT core: U(pi/4), R_y(pi) on atom 1, U(pi/4).
 _CNOT2_CORE = (_CNOT2_PULSE, LocalLayer(((1, "y", pi),)), _CNOT2_PULSE)
+#: Its pre and post layers: e^{i pi/4} post @ core @ pre = CNOT.
+_CNOT2_PRE = LocalLayer(((1, "z", -pi / 4), (1, "y", pi / 2), (1, "z", pi / 4), (2, "z", pi / 4)))
+_CNOT2_POST = LocalLayer(((1, "z", pi / 4), (1, "y", pi / 2), (1, "z", -pi / 4),
+                          (2, "z", 3 * pi / 4), (2, "y", pi / 2), (2, "z", pi / 2)))
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +79,8 @@ def cnot2_sequence() -> GateSequence:
     collective time pi/2 (units 1/eta): one pulse pair, which is the
     minimum for reaching the CNOT class with this interaction.
     """
-    pre, post, theta = _corrections(2)
-    return GateSequence(2, (pre, *_CNOT2_CORE, post, GlobalPhase(theta)), label="cnot2")
+    steps = (_CNOT2_PRE, *_CNOT2_CORE, _CNOT2_POST, GlobalPhase(CNOT2_GLOBAL_PHASE))
+    return GateSequence(2, steps, label="cnot2")
 
 
 def _echo_steps(idle_atom: int, branch: int, k: int = 0):
@@ -158,14 +135,11 @@ def _cnot3_core(control: int, target: int) -> tuple:
     return echo + (LocalLayer(((target, "y", CNOT3_MIDDLE_ANGLE),)),) + echo
 
 
-@lru_cache(maxsize=None)
-def _corrections(n: int) -> tuple[LocalLayer, LocalLayer, float]:
-    """Pre/post layers on slots (1, 2) and theta of the n-atom CNOT core as `compose`
-    renders it; the three-atom core is solved on atoms 2 (control), 3 (target)."""
-    if n == 2:
-        return _correction_layers(compose(GateSequence(2, _CNOT2_CORE)), CNOT2_GLOBAL_PHASE)
-    core = extract_factor(compose(GateSequence(3, _cnot3_core(2, 3))))
-    return _correction_layers(core, CNOT3_GLOBAL_PHASE)
+#: The three-atom core's pre and post layers on slots (1, 2) = (control, target):
+#: e^{-i pi/4} post @ core @ pre = CNOT.
+_CNOT3_PRE = LocalLayer(((2, "y", pi - CNOT3_MIDDLE_ANGLE / 2),))
+_CNOT3_POST = LocalLayer(((1, "z", -pi / 2), (2, "z", -pi / 2), (2, "y", pi / 2),
+                          (2, "z", -(3 * pi / 2 - CNOT3_MIDDLE_ANGLE / 2))))
 
 
 def _relabel(layer: LocalLayer, qubits: tuple[int, int]) -> LocalLayer:
@@ -179,7 +153,7 @@ def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     """CNOT between two atoms of a three-atom register, third untouched.
 
     Two spin-echo blocks (branch +1, k = 0: the shortest implementation)
-    sandwich R_y(phi_f) on the target atom; the derived one-qubit
+    sandwich R_y(phi_f) on the target atom; the closed-form one-qubit
     corrections and the global phase -pi/4 make the composition equal
     the embedded CNOT exactly.  Other control/target choices relabel the
     atoms, with the echo pulses moved to whichever atom sits idle.
@@ -191,12 +165,11 @@ def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
 
 @lru_cache(maxsize=None, typed=True)  # typed: numpy qubits never land in an int entry
 def _cnot3_sequence(control: int, target: int) -> GateSequence:
-    """`cnot3_sequence` after its check: the core with the relabelled (2, 3) corrections."""
-    pre, post, theta = _corrections(3)
-    pre, post = (_relabel(layer, (control, target)) for layer in (pre, post))
+    """`cnot3_sequence` after its check: the core with the relabelled corrections."""
+    pre, post = (_relabel(layer, (control, target)) for layer in (_CNOT3_PRE, _CNOT3_POST))
     return GateSequence(
         n_atoms=3,
-        steps=(pre,) + _cnot3_core(control, target) + (post, GlobalPhase(theta)),
+        steps=(pre,) + _cnot3_core(control, target) + (post, GlobalPhase(CNOT3_GLOBAL_PHASE)),
         label=f"cnot3(control={control}, target={target})",
     )
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import strategies as st
 
 from cavitygates import synthesis
+from cavitygates.errors import NotFactorable
 from cavitygates.evolution import HamiltonianForm, evolve
-from cavitygates.gates import rotation, u23_gate
-from cavitygates.linalg import expm_hermitian, kron
+from cavitygates.gates import _SMALL_HALF_ANGLE, cnot_gate, rotation, u23_gate, zyz_angles
+from cavitygates.invariants import factor_local, solve_local_corrections
+from cavitygates.linalg import DEFAULT_TOL, expm_hermitian, kron
 from cavitygates.sequences import CollectiveEvolution, GateSequence, GlobalPhase, LocalLayer
 from cavitygates.synthesis import CNOT3_MIDDLE_ANGLE
 
@@ -40,6 +42,36 @@ def perturbed(u, rng, eps=None):
     return u @ expm_hermitian((a + a.T) / 2, -eps)
 
 
+# -- the CNOT corrections derived by the solver: the independent reference for the
+# closed-form layers of `synthesis`
+
+def _euler_triples(qubit: int, u2: np.ndarray) -> tuple[tuple[int, str, float], ...]:
+    """z-y-z rotation triples (application order) realizing u2 in SU(2), zero angles dropped."""
+    alpha, beta, gamma = zyz_angles(u2)
+    triples = []
+    for axis, angle in (("z", gamma), ("y", beta), ("z", alpha)):
+        if abs(angle) / 2 >= _SMALL_HALF_ANGLE:
+            triples.append((qubit, axis, angle))
+    return tuple(triples)
+
+
+def _layer_from_local(u4) -> LocalLayer:
+    """Rotation layer on qubits 1, 2 realizing u4 exactly: `factor_local` leaves a phase
+    of 1 for every u4 in SU(2) x SU(2), -(a x b) too; any other phase is rejected."""
+    phase, a, b = factor_local(u4)
+    if abs(phase - 1.0) >= DEFAULT_TOL:
+        raise NotFactorable(f"cannot absorb phase {phase} into rotation layers")
+    return LocalLayer(_euler_triples(1, a) + _euler_triples(2, b))
+
+
+def _correction_layers(core, phase_step: float):
+    """Pre/post rotation layers and theta with e^{i theta} * post @ core @ pre = CNOT, exactly:
+    theta is phase_step plus the solved pair's residual angle (the core's own global phase)."""
+    pair = solve_local_corrections(core, np.exp(-1j * phase_step) * cnot_gate())
+    pre, post = (_layer_from_local(o) for o in (pair.o, pair.o_prime))
+    return pre, post, phase_step + float(np.angle(pair.phase))
+
+
 @st.composite
 def sequences(draw):
     """A valid GateSequence on 1-3 atoms with up to 8 steps of every kind."""
@@ -60,10 +92,9 @@ def rng():
 
 @pytest.fixture
 def fresh_synthesis():
-    """Clear the cached corrections and every cached named sequence before and after
-    the test, so a sequence built from a patched solver cannot leak into another test."""
-    caches = (synthesis._corrections, synthesis.cnot2_sequence,
-              synthesis._cnot3_sequence, synthesis._toffoli_sequence)
+    """Clear every cached named sequence before and after the test, so a sequence
+    built under a patched layer cannot leak into another test."""
+    caches = (synthesis.cnot2_sequence, synthesis._cnot3_sequence, synthesis._toffoli_sequence)
     for cache in caches:
         cache.cache_clear()
     yield

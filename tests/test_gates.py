@@ -26,9 +26,8 @@ from cavitygates.gates import (
     zyz_angles,
 )
 from cavitygates.linalg import DEFAULT_TOL, expm_hermitian
-from cavitygates.synthesis import _euler_triples
 
-from conftest import haar_unitary
+from conftest import _euler_triples, haar_unitary
 
 
 def test_rotation_closed_forms():

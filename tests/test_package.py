@@ -62,6 +62,24 @@ assert "cavitygates.verify" in sys.modules
 """)
 
 
+def test_building_and_composing_the_named_gates_never_loads_invariants():
+    # the CNOT corrections are closed-form constants: no build reaches the solver
+    _run("""
+import sys
+import numpy as np
+import cavitygates as cg
+gates = [(cg.cnot2_sequence(), cg.cnot_gate())]
+gates += [(cg.cnot3_sequence(c, t), cg.controlled_not(3, c, t))
+          for c in (1, 2, 3) for t in (1, 2, 3) if c != t]
+gates += [(cg.toffoli_sequence(False), cg.toffoli_gate())]
+for seq, target in gates:
+    assert np.abs(cg.compose(seq) - target).max() < 1e-13, seq.label
+assert cg.is_unitary(cg.compose(cg.toffoli_sequence(True)))
+assert "cavitygates.synthesis" in sys.modules
+assert "cavitygates.invariants" not in sys.modules, sorted(sys.modules)
+""")
+
+
 def test_every_exported_name_is_listed_and_is_its_submodules_object():
     listed, names = set(cavitygates.__all__), set(dir(cavitygates))
     for module, name in NAMES:

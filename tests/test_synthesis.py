@@ -16,7 +16,7 @@ from cavitygates.sequences import (
     compose,
     local_layer_unitary,
 )
-from cavitygates import synthesis
+from cavitygates import gates, invariants, synthesis
 from cavitygates.synthesis import (
     cnot2_sequence,
     cnot3_sequence,
@@ -25,7 +25,8 @@ from cavitygates.synthesis import (
     toffoli_sequence,
 )
 
-from conftest import cnot2_core, cnot3_core, perturbed
+import conftest
+from conftest import _correction_layers, cnot2_core, cnot3_core, perturbed
 
 CORES = pytest.mark.parametrize(
     "core, phase_step",
@@ -44,24 +45,25 @@ def test_cnot2_composes_to_exact_cnot():
 
 
 def _solver_returning(transform):
-    solve = synthesis.solve_local_corrections
+    solve = conftest.solve_local_corrections
     return lambda core, want: transform(solve(core, want))
 
 
-def test_a_negated_pre_correction_factors_with_phase_one(monkeypatch, fresh_synthesis):
+def test_a_negated_pre_correction_factors_with_phase_one(monkeypatch):
     # (-O, O', -phase) solves the same equation as (O, O', phase): -O is in
     # SU(2) x SU(2) too, so its layer carries the sign and theta the -1
     flipped = _solver_returning(lambda p: LocalCorrectionPair(-p.o, p.o_prime, -p.phase))
-    monkeypatch.setattr(synthesis, "solve_local_corrections", flipped)
-    assert np.abs(compose(cnot2_sequence()) - cnot_gate()).max() < 1e-9
+    monkeypatch.setattr(conftest, "solve_local_corrections", flipped)
+    gate = _composed(cnot2_core(), synthesis.CNOT2_GLOBAL_PHASE)
+    assert np.abs(gate - cnot_gate()).max() < 1e-9
 
 
-def test_correction_rejects_a_residual_phase_other_than_sign(monkeypatch, fresh_synthesis):
+def test_correction_rejects_a_residual_phase_other_than_sign(monkeypatch):
     # (i O, O', -i phase) is a valid pair too, but SU(2) layers cannot carry i
     turned = _solver_returning(lambda p: LocalCorrectionPair(1j * p.o, p.o_prime, -1j * p.phase))
-    monkeypatch.setattr(synthesis, "solve_local_corrections", turned)
+    monkeypatch.setattr(conftest, "solve_local_corrections", turned)
     with pytest.raises(NotFactorable, match="cannot absorb phase"):
-        cnot2_sequence()
+        _correction_layers(cnot2_core(), synthesis.CNOT2_GLOBAL_PHASE)
 
 
 def test_cnot2_structure():
@@ -249,7 +251,7 @@ def test_sequences_thermally_robust():
 
 
 def test_builders_are_deterministic():
-    # derived correction layers must come out identical on every call
+    # the correction layers come out identical on every call
     a, b = cnot2_sequence(), cnot2_sequence()
     assert a == b
     assert cnot3_sequence(3, 1) == cnot3_sequence(3, 1)
@@ -298,20 +300,42 @@ def test_toffoli_cnot_blocks_are_the_cached_cnot3_steps(simplified, blocks):
     assert pulses == 4 * len(blocks)
 
 
-def test_cnot3_corrections_are_solved_once(monkeypatch, fresh_synthesis):
-    calls = []
-    solve = synthesis.solve_local_corrections
+def test_no_named_builder_calls_the_solver(monkeypatch, fresh_synthesis):
+    # the corrections are constants: building every named sequence from empty
+    # caches reaches neither the solver nor the factoring that re-derives them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a named builder called the solver")
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    for name in ("solve_local_corrections", "factor_local", "local_invariants"):
+        monkeypatch.setattr(invariants, name, refuse)
+    monkeypatch.setattr(gates, "zyz_angles", refuse)
+    assert np.abs(compose(cnot2_sequence()) - cnot_gate()).max() < 1e-15
+    for control, target in ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)):
+        u = compose(cnot3_sequence(control, target))
+        assert np.abs(u - controlled_not(3, control, target)).max() < 1e-14
+    assert np.abs(compose(toffoli_sequence(False)) - toffoli_gate()).max() < 1e-13
+    flipped = toffoli_gate() * np.where(np.arange(8) == 0b101, -1, 1)  # the sign of |101>
+    assert np.abs(compose(toffoli_sequence(True)) - flipped).max() < 1e-13
+    assert not hasattr(synthesis, "solve_local_corrections")
 
-    monkeypatch.setattr(synthesis, "solve_local_corrections", counting)
-    full = compose(toffoli_sequence(False))
-    for control, target in ((1, 2), (2, 1), (3, 1)):
-        cnot3_sequence(control, target)
-    assert len(calls) == 1
-    assert phase_distance(full, toffoli_gate()) < 1e-8
+
+@pytest.mark.parametrize(
+    "n, phase_step, pre, post",
+    [(2, synthesis.CNOT2_GLOBAL_PHASE, synthesis._CNOT2_PRE, synthesis._CNOT2_POST),
+     (3, synthesis.CNOT3_GLOBAL_PHASE, synthesis._CNOT3_PRE, synthesis._CNOT3_POST)],
+    ids=["cnot2", "cnot3"],
+)
+def test_the_solver_reproduces_the_closed_form_corrections(n, phase_step, pre, post):
+    # on the core as compose renders it (for three atoms its factor on atoms 2, 3),
+    # the solver and the factoring re-derive the constant layers and theta
+    if n == 2:
+        core = compose(GateSequence(2, synthesis._CNOT2_CORE))
+    else:
+        core = extract_factor(compose(GateSequence(3, synthesis._cnot3_core(2, 3))))
+    solved_pre, solved_post, theta = _correction_layers(core, phase_step)
+    for solved, constant in ((solved_pre, pre), (solved_post, post)):
+        assert np.abs(local_layer_unitary(solved, 2) - local_layer_unitary(constant, 2)).max() < 1e-12
+    assert abs(theta - phase_step) < 1e-12
 
 
 def test_cnot3_labellings_relabel_one_correction_pair():
@@ -332,7 +356,7 @@ def test_corrections_are_continuous_in_the_core(core, phase_step, rng):
     # the CNOT class is degenerate: rounding noise in a core must not pick
     # another member of the family of valid corrections
     def solve(u):
-        pre, post, _ = synthesis._correction_layers(u, phase_step)
+        pre, post, _ = _correction_layers(u, phase_step)
         rotations = [r for layer in (pre, post) for r in layer.rotations]
         return [(q, axis) for q, axis, _ in rotations], np.array([a for _, _, a in rotations])
 
@@ -346,7 +370,7 @@ def test_corrections_are_continuous_in_the_core(core, phase_step, rng):
 
 def _composed(core, phase_step):
     """e^{i theta} post @ core @ pre for the solved corrections of core."""
-    pre, post, theta = synthesis._correction_layers(core, phase_step)
+    pre, post, theta = _correction_layers(core, phase_step)
     return np.exp(1j * theta) * local_layer_unitary(post, 2) @ core @ local_layer_unitary(pre, 2)
 
 
@@ -380,7 +404,7 @@ def test_a_core_outside_the_cnot_class_raises_not_equivalent(core, phase_step):
     off = core(dphi=1e-4)
     assert _invariant_error(off) > DEFAULT_TOL
     with pytest.raises(NotEquivalent, match="different local invariants"):
-        synthesis._correction_layers(off, phase_step)
+        _correction_layers(off, phase_step)
 
 
 @CORES
@@ -391,4 +415,4 @@ def test_a_pulse_error_fails_the_spectra_match_first(core, phase_step):
     off = core(dphi=1e-6)
     assert _invariant_error(off) < 1e-11
     with pytest.raises(NotEquivalent, match="spectra of m and l could not be matched"):
-        synthesis._correction_layers(off, phase_step)
+        _correction_layers(off, phase_step)

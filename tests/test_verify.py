@@ -212,6 +212,21 @@ def test_each_check_fails_on_a_fault_in_the_code_it_measures(index, check, monke
     assert doc["status"] == "fail" and doc["reports"][index]["status"] == "fail"
 
 
+def test_check_cnot2_fails_on_ladder_pulses_rendered_with_the_casimir_h0(monkeypatch,
+                                                                         fresh_synthesis):
+    # the two forms differ by a collective S_z term, which is local: corrections solved
+    # on the core as rendered would absorb it, but the closed-form layers do not
+    pulses = evolution._pulses
+    casimir = evolution.HamiltonianForm.CASIMIR
+
+    def as_casimir(n, forms, phis, c=None):
+        return pulses(n, [casimir for _ in forms], phis, c)
+
+    for module in (evolution, sequences):
+        monkeypatch.setattr(module, "_pulses", as_casimir)
+    assert not verify.check_cnot2().passed
+
+
 def test_the_spin_echo_factor_is_the_one_extract_factor_reads():
     factor = synthesis.extract_factor(sequences.compose(synthesis.spin_echo_u23(+1, 0)))
     artifact = verify.check_spin_echo().artifacts["extracted_factor"]
