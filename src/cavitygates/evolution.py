@@ -32,12 +32,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DegenerateParams, InvalidForm, _check_finite, _check_non_negative
+from .errors import (
+    DegenerateParams, InvalidForm, NonFiniteValue, _check_finite, _check_non_negative,
+)
 from .gates import rotation
 from .linalg import hermitian_spectrum, kron, read_only
 from .spin import _check_atoms, collective_op, s_squared
@@ -177,6 +179,20 @@ def _basis(n: int) -> tuple:
     return read_only(projectors), m, MappingProxyType(dict(zip(HamiltonianForm, h0)))
 
 
+#: Largest |h_s| and |m_s| over both forms and 1-3 atoms: S+ S- = j(j+1) - m(m-1) is 4 at
+#: j = 3/2, m = 1/2 (S^2 - S_z^2 is at most 15/4 - 1/4), and |m| <= 3/2.  Rounding is
+#: monotone, so every exponent phi (h_s + c m_s) of a pulse is finite if |phi| (4 + 3/2 |c|) is.
+_SPECTRUM_BOUND = (4.0, 1.5)
+
+
+def _check_phase(phi: float, c: float = 0.0) -> None:
+    """Raise NonFiniteValue unless phi is finite and phi (H_0 + c S_z) is too, on every sector."""
+    _check_finite("phi", phi)
+    h, m = _SPECTRUM_BOUND
+    if not isfinite(abs(float(phi)) * (h + m * abs(float(c)))):  # Python floats: no warning
+        raise NonFiniteValue(f"phi (H_0 + c S_z) must be finite, overflows at phi = {phi}, c = {c}")
+
+
 def _pulses(n: int, forms, phis, c=None) -> np.ndarray:
     """exp(-i phi (H_0 + c S_z)) per form: per sector of `_basis(n)` the phase of the forms' rows,
     stacked, plus c m if c (scalar or per form) is given; one (1, s) @ (s, d^2) product a pulse."""
@@ -195,11 +211,11 @@ def evolve(n: int, phi: float, form: HamiltonianForm) -> np.ndarray:
     every nbar (see `thermal_evolve`).
 
     Raises:
-        NonFiniteValue: if phi is NaN or infinite.
+        NonFiniteValue: if phi is NaN or infinite, or phi H_0 overflows.
     """
     n = _check_atoms(n)
     _check_form(form)
-    _check_finite("phi", phi)
+    _check_phase(phi)
     return _pulses(n, (form,), phi)[0]
 
 
@@ -215,9 +231,11 @@ def thermal_evolve(n: int, phi: float, form: HamiltonianForm, nbar: float) -> np
             == evolve(n, phi, form)
 
     Raises:
-        NonFiniteValue: if phi or nbar is NaN or infinite.
+        NonFiniteValue: if phi or nbar is NaN or infinite, or phi (H_0 + c S_z)
+            overflows.
         DegenerateParams: if nbar is negative.
     """
     n = _check_atoms(n)
-    _check_finite("phi", phi)
-    return _pulses(n, (form,), phi, _linear_coefficient(form, nbar))[0]  # checks form, nbar
+    c = _linear_coefficient(form, nbar)  # checks form and nbar
+    _check_phase(phi, c)
+    return _pulses(n, (form,), phi, c)[0]

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import asdict
 from functools import wraps
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CavityGatesError, DimensionMismatch, _is_integer
 from .evolution import CavityParams, HamiltonianForm
-from .invariants import LocalInvariants
 from .linalg import _as_stack
 from .sequences import (
     CollectiveEvolution,
@@ -35,6 +35,9 @@ from .sequences import (
     LocalLayer,
     SequenceStep,
 )
+
+if TYPE_CHECKING:  # an annotation only: serializing loads no invariants
+    from .invariants import LocalInvariants
 
 
 def _field(data, key: str):

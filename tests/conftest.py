@@ -93,7 +93,8 @@ def rng():
 @pytest.fixture
 def fresh_synthesis():
     """Clear every cached named sequence before and after the test, so a sequence
-    built under a patched layer cannot leak into another test."""
+    built under a patched layer cannot leak into another test, and the test composes
+    fresh objects: a named sequence composed twice keeps the factors it rendered."""
     caches = (synthesis.cnot2_sequence, synthesis._cnot3_sequence, synthesis._toffoli_sequence)
     for cache in caches:
         cache.cache_clear()

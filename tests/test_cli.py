@@ -110,7 +110,9 @@ def test_evolve_no_compensate_exposes_thermal_rotation(capsys):
 
 
 @pytest.mark.parametrize(
-    "extra", [("--phi", "nan"), ("--phi", "inf"), ("--phi", "0.5", "--nbar", "inf")]
+    "extra", [("--phi", "nan"), ("--phi", "inf"), ("--phi", "0.5", "--nbar", "inf"),
+              # finite, but phi (H_0 + c S_z) overflows
+              ("--phi", "1e308"), ("--phi", "1", "--nbar", "1e308", "--no-compensate")]
 )
 def test_evolve_non_finite_input_is_usage_error(capsys, extra):
     code, out, err = run(capsys, "evolve", "--atoms", "2", *extra)

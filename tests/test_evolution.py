@@ -25,6 +25,7 @@ from cavitygates.evolution import (
 from cavitygates.linalg import expm_hermitian, phase_distance
 from cavitygates.sequences import (
     CollectiveEvolution,
+    GateSequence,
     GlobalPhase,
     LocalLayer,
     compose,
@@ -191,6 +192,38 @@ def test_evolve_rejects_non_finite_input(phi, nbar):
     if not np.isfinite(phi):
         with pytest.raises(NonFiniteValue):
             evolve(3, phi, CASIMIR)
+
+
+def test_the_spectrum_bound_is_the_largest_sector_value():
+    h, m = evolution._SPECTRUM_BOUND
+    spectra = [_basis(n) for n in (1, 2, 3)]
+    assert max(abs(row).max() for _, _, rows in spectra for row in rows.values()) == h
+    assert max(abs(ms).max() for _, ms, _ in spectra) == m
+
+
+@pytest.mark.parametrize("phi, nbar", [(1e308, 0.0), (-1e308, 0.0), (1.0, 1e308), (0.0, 1e308),
+                                       (1e200, 1e200)])
+def test_a_pulse_whose_exponent_overflows_is_rejected(phi, nbar):
+    for form in HamiltonianForm:
+        for n in (1, 2, 3):
+            with pytest.raises(NonFiniteValue, match="overflows"):
+                thermal_evolve(n, phi, form, nbar)
+            if nbar == 0.0:
+                with pytest.raises(NonFiniteValue, match="overflows"):
+                    evolve(n, phi, form)
+
+
+@pytest.mark.parametrize("form", list(HamiltonianForm))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_largest_admitted_exponents_render_finite(n, form):
+    phi_max = np.finfo(float).max / evolution._SPECTRUM_BOUND[0]
+    for phi in (phi_max, -phi_max):
+        assert np.isfinite(evolve(n, phi, form)).all()
+        assert np.isfinite(compose(GateSequence(n, (CollectiveEvolution(phi, form),)))).all()
+        with pytest.raises(NonFiniteValue, match="overflows"):
+            evolve(n, np.nextafter(phi, 2 * phi), form)
+    # c = max/2 or max/2 + 1: |phi| (4 + 3/2 c) is 3/4 of the largest float
+    assert np.isfinite(thermal_evolve(n, -1.0, form, np.finfo(float).max / 4)).all()
 
 
 def test_compose_rejects_non_finite_nbar():

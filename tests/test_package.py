@@ -80,6 +80,16 @@ assert "cavitygates.invariants" not in sys.modules, sorted(sys.modules)
 """)
 
 
+def test_serializing_a_named_sequence_never_loads_invariants():
+    _run("""
+import sys
+from cavitygates.serialize import sequence_to_json
+from cavitygates.synthesis import cnot2_sequence
+assert sequence_to_json(cnot2_sequence())["label"] == "cnot2"
+assert "cavitygates.invariants" not in sys.modules, sorted(sys.modules)
+""")
+
+
 def test_every_exported_name_is_listed_and_is_its_submodules_object():
     listed, names = set(cavitygates.__all__), set(dir(cavitygates))
     for module, name in NAMES:

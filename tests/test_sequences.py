@@ -1,7 +1,11 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial, reduce
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import cavitygates
+from cavitygates import sequences as sequences_module
 from cavitygates.errors import (
     CavityGatesError,
     IndexOutOfRange,
@@ -19,13 +24,15 @@ from cavitygates.errors import (
 )
 from cavitygates.evolution import HamiltonianForm, evolve
 from cavitygates.gates import rotation
-from cavitygates.linalg import kron, phase_distance
+from cavitygates.linalg import kron, phase_distance, read_only
 from cavitygates.sequences import (
     CollectiveEvolution,
     GateSequence,
     GlobalPhase,
     LocalLayer,
     _generators,
+    _product,
+    _step_unitaries,
     collective_time,
     compose,
     local_layer_unitary,
@@ -213,7 +220,7 @@ def test_local_layer_rejects_non_finite_angle(angle):
         GateSequence(2, (LocalLayer(((1, "z", 0.5), (2, "x", angle))),))
 
 
-@pytest.mark.parametrize("phi", [np.nan, np.inf])
+@pytest.mark.parametrize("phi", [np.nan, np.inf, 1e308, -1e308])  # phi H_0 overflows at 1e308
 def test_collective_step_rejects_non_finite_phi(phi):
     with pytest.raises(NonFiniteValue):
         GateSequence(2, (CollectiveEvolution(phi, LADDER),))
@@ -378,3 +385,90 @@ def test_stacked_rendering_equals_the_one_matrix_fold(seq):
     u = compose(seq)
     assert np.array_equal(u, _pairwise(factors, n))
     assert _close(u, _reference_compose(seq), len(factors))
+
+
+# -- the kept factor stack: from its second compose on, a sequence object only multiplies
+
+#: Five factors, so `_product` runs three levels and carries an odd factor up.
+KEPT = GateSequence(3, (
+    CollectiveEvolution(0.7, LADDER), _layer(1, ("x", 0.2), ("z", 0.9)),
+    GlobalPhase(0.1), CollectiveEvolution(-0.3, CASIMIR),
+))
+
+
+def test_a_sequence_renders_on_its_first_two_composes_and_never_again(monkeypatch):
+    rendered = []
+
+    def spy(seq):
+        rendered.append(seq)
+        return _step_unitaries(seq)
+
+    monkeypatch.setattr(sequences_module, "_step_unitaries", spy)
+    seq = replace(KEPT)
+    counts = []
+    for _ in range(5):
+        compose(seq)
+        counts.append(len(rendered))
+    assert counts == [1, 2, 2, 2, 2]
+    compose(replace(seq))  # an equal but distinct object renders its own
+    assert len(rendered) == 3 and rendered[-1] is not seq
+
+
+def test_the_kept_stack_is_read_only():
+    seq = replace(KEPT)
+    compose(seq)
+    compose(seq)
+    kept = seq.__dict__["_stack"]
+    assert kept.shape == (5, 8, 8) and not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0] = 0
+
+
+def test_a_copied_or_unpickled_sequence_keeps_no_stack():
+    seq = replace(KEPT)
+    compose(seq)
+    compose(seq)
+    for other in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+        assert other == seq and "_stack" not in other.__dict__
+        assert compose(other).tobytes() == compose(seq).tobytes()
+    assert len(pickle.dumps(seq)) < 2000  # the fields, not the 5 kB stack
+
+
+def test_product_reads_a_read_only_stack_and_leaves_it_unchanged():
+    for seq in (replace(KEPT), GateSequence(2, (CollectiveEvolution(0.4, LADDER),))):
+        us = _step_unitaries(seq)
+        want = _product(us.copy())
+        before = us.copy()
+        assert np.array_equal(_product(read_only(us)), want)
+        assert np.array_equal(us, before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences())
+@example(KEPT)
+@example(GateSequence(2))
+def test_every_compose_of_an_object_is_bit_identical_and_a_fresh_array(drawn):
+    seq = replace(drawn)  # an object no earlier example composed
+    us = [compose(seq) for _ in range(3)]
+    fresh = compose(replace(drawn))
+    assert seq.__dict__["_stack"].tobytes() == _step_unitaries(replace(drawn)).tobytes()
+    assert seq == replace(drawn) and hash(seq) == hash(replace(drawn))
+    for u in us:
+        assert u.flags.writeable and u.tobytes() == fresh.tobytes()
+    arrays = [*us, fresh, seq.__dict__["_stack"]]
+    assert not any(np.shares_memory(a, b) for a, b in combinations(arrays, 2))
+    for u in us:
+        u[...] = np.nan  # each result owns its memory: nothing later sees the write
+    assert compose(seq).tobytes() == fresh.tobytes()
+
+
+def test_a_patched_pulse_is_seen_by_a_fresh_sequence_not_by_a_kept_one(monkeypatch):
+    # why fault tests clear the named-sequence caches (conftest's fresh_synthesis): a named
+    # sequence composed twice keeps the factors it rendered before the patch
+    seq = replace(KEPT)
+    compose(seq)
+    want = compose(seq)
+    pulses = sequences_module._pulses
+    monkeypatch.setattr(sequences_module, "_pulses", lambda *args: pulses(*args).conj())
+    assert np.array_equal(compose(seq), want)
+    assert not np.allclose(compose(replace(seq)), want)
