@@ -112,9 +112,11 @@ def validity_ratio(params: CavityParams) -> float:
 
 def _linear_coefficient(form: HamiltonianForm, nbar: float) -> float:
     """Coefficient c of the form-specific linear term c S_z:
-    2 nbar (ladder) or 2 nbar + 1 (Casimir); nbar must be finite and >= 0."""
+    2 nbar (ladder) or 2 nbar + 1 (Casimir); nbar must be finite and >= 0, and c finite."""
     _check_form(form)
     _check_non_negative("nbar", nbar)
+    if not isfinite(2.0 * float(nbar)):  # Python floats: no warning; 2 nbar + 1 is finite then
+        raise NonFiniteValue(f"c = 2 nbar (+ 1) must be finite, overflows at nbar = {nbar}")
     return 2.0 * nbar if form is HamiltonianForm.LADDER else 2.0 * nbar + 1.0
 
 
@@ -149,11 +151,14 @@ def compensation_rotation(
     accumulated over an evolution of phase phi = eta t.
 
     Returns ('z', -2 nbar phi) for the ladder form and
-    ('z', -(2 nbar + 1) phi) for the Casimir form; nbar and phi must be
-    finite (NonFiniteValue), nbar >= 0 (DegenerateParams).
+    ('z', -(2 nbar + 1) phi) for the Casimir form; nbar, phi and the angle must
+    be finite (NonFiniteValue), nbar >= 0 (DegenerateParams).
     """
     _check_finite("phi", phi)
-    return ("z", -_linear_coefficient(form, nbar) * phi)
+    c = _linear_coefficient(form, nbar)
+    if not isfinite(float(c) * float(phi)):  # Python floats: no warning
+        raise NonFiniteValue(f"c phi must be finite, overflows at phi = {phi}, nbar = {nbar}")
+    return ("z", -c * phi)
 
 
 def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -> np.ndarray:

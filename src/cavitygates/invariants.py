@@ -7,14 +7,14 @@ gate in the magic (Bell-related) basis and m = M_B^T M_B,
 
     g1 = Tr^2 m / (16 det M),   g2 = (Tr^2 m - Tr m^2) / (4 det M).
 
-In the magic basis every product of one-qubit unitaries becomes a real
-orthogonal matrix, which is what makes m's spectrum an equivalence-class
-fingerprint.  `solve_local_corrections` reads the corrections off the real
-eigenbases of m and l in one pass, with the traces that test equivalence
-also fixing the sign of l.  `factor_local` splits exactly the gates
-`is_local` accepts.  The corrections and their factors are continuous in
-the gates except where eigenvalue clusters of m merge, where a det -1
-polar factor has a repeated smallest singular value, or where Re tr a = 0.
+In the magic basis every product of one-qubit unitaries becomes a real orthogonal
+matrix, which is what makes m's spectrum an equivalence-class fingerprint.
+`solve_local_corrections` reads the corrections off the real eigenbases of m and l
+in one pass, with the traces that test equivalence also fixing the sign of l;
+`are_equivalent` is True exactly where that pass succeeds.  `factor_local` splits
+exactly the gates `is_local` accepts.  The corrections and their factors are
+continuous in the gates except where eigenvalue clusters of m merge, where a
+det -1 polar factor has a repeated smallest singular value, or where Re tr a = 0.
 
 `local_invariants`, `is_local`, `are_equivalent` and `solve_local_corrections`
 also take stacks of gates, shape (..., 4, 4), elementwise.  Magic-basis changes
@@ -59,7 +59,7 @@ MAGIC_BASIS = read_only(np.array(
 ) / np.sqrt(2))
 _MAGIC_DAGGER = read_only(dagger(MAGIC_BASIS))
 
-#: Threshold on |m O - O l| above which solve_local_corrections finds no correction.
+#: Threshold on |m O - O l| above which a pair is not equivalent: the solver finds no correction.
 _MATCH_TOL = 1e-7
 
 
@@ -105,13 +105,10 @@ def local_invariants(m_gate) -> LocalInvariants:
 
 
 def are_equivalent(a, b):
-    """True iff a and b are related by one-qubit operations (and global phase),
-    i.e. iff both invariants agree within DEFAULT_TOL; a bool array for stacks."""
-    m, l = _as_stack(a), _as_stack(b)
-    if m.shape != l.shape:
-        raise DimensionMismatch(f"shapes differ: {m.shape} vs {l.shape}")
-    g = np.stack(local_invariants(np.stack([m, l])))  # (g1, g2) x (a, b): one call for both
-    return _unstack((_modulus(g[:, 0] - g[:, 1]) < DEFAULT_TOL).all(axis=0), bool)
+    """True iff a and b are related by one-qubit operations (and global phase), by the
+    solver's test: exactly where `solve_local_corrections` succeeds; a bool array for stacks."""
+    _, matched, shape, _ = _match(a, b)
+    return _unstack(matched.reshape(shape[:-2]), bool)
 
 
 def _rearranged(m: np.ndarray) -> np.ndarray:
@@ -194,6 +191,38 @@ def _diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarra
     )
 
 
+def _match(m_gate, l_gate):
+    """The solver's pass: flat verdicts same_g (g within DEFAULT_TOL) and matched (also m O = O l
+    within _MATCH_TOL), shape, and (roots, gb, o_b), None if no pair has same_g (no eigh runs)."""
+    m_in, l_in = _as_stack(m_gate), _as_stack(l_gate)
+    if m_in.shape != l_in.shape:
+        raise DimensionMismatch(f"shapes differ: {m_in.shape} vs {l_in.shape}")
+    gates = _check_two_qubit_unitary(np.stack([m_in, l_in])).reshape(-1, 4, 4)  # [M; L]
+    n = len(gates) // 2
+    roots = np.linalg.det(gates) ** 0.25
+    gb, sym = _magic_symmetric(gates / roots[:, None, None])  # [mb; lb], [m; l]
+    t1, t2 = np.einsum("...ii->...", sym), (sym * sym).sum((-2, -1))  # sym^T = sym
+    g = np.stack([t1 * t1 / 16.0, (t1 * t1 - t2) / 4.0])  # g1, g2 of unit-determinant gates
+    same_g = (_modulus(g[:, :n] - g[:, n:]) < DEFAULT_TOL).all(axis=0)
+    if n and not same_g.any():
+        return same_g, same_g, m_in.shape, None
+    differ, agree = _modulus(t1[:n] - t1[n:]), _modulus(t1[:n] + t1[n:])
+    flip = (differ > DEFAULT_TOL) & (agree < differ)
+    i = n + np.flatnonzero(flip)  # re-render those l with root * i
+    roots[i] = roots[i] * 1j
+    gb[i], sym[i] = _magic_symmetric(gates[i] / roots[i, None, None])
+    e, p = _diagonalize_symmetric_unitary(sym)
+    # pairs within DEFAULT_TOL may mix: merging eigenvalues d apart moves O_b by about d
+    close = _modulus(e[:n, :, None] - e[n:, None, :]) <= DEFAULT_TOL
+    u, _, vt = np.linalg.svd(close * (p[:n].swapaxes(-1, -2) @ p[n:]))
+    det_p = np.linalg.det(p)  # reflect along the last singular vector to stay in SO(4)
+    u[..., -1] *= np.sign(det_p[:n] * det_p[n:] * np.linalg.det(u @ vt))[:, None]
+    o_b = p[:n] @ u @ vt @ p[n:].swapaxes(-1, -2)
+    re_im = np.stack([sym.real, sym.imag])  # o_b is real: m O - O l in real products
+    residual = np.hypot(*(re_im[:, :n] @ o_b - o_b @ re_im[:, n:])).max(axis=(-2, -1))
+    return same_g, same_g & (residual <= _MATCH_TOL), m_in.shape, (roots, gb, o_b)
+
+
 def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     """Find one-qubit corrections (O, O') with phase * O' M O = L, for one
     pair of gates or elementwise for two stacks of the same shape.
@@ -216,36 +245,16 @@ def solve_local_corrections(m_gate, l_gate) -> LocalCorrectionPair:
     Tr m = 0 means a spectrum symmetric under negation (the CNOT class's): +l works.
 
     Raises:
-        NotEquivalent: if the invariants (hence spectra) of some pair
-            differ beyond tolerance, so no correction pair exists.
+        NotEquivalent: if the invariants of some pair differ beyond DEFAULT_TOL,
+            or m O = O l misses by more than _MATCH_TOL: where `are_equivalent` is False.
     """
-    m_in, l_in = _as_stack(m_gate), _as_stack(l_gate)
-    if m_in.shape != l_in.shape:
-        raise DimensionMismatch(f"shapes differ: {m_in.shape} vs {l_in.shape}")
-    gates = _check_two_qubit_unitary(np.stack([m_in, l_in])).reshape(-1, 4, 4)  # [M; L]
-    n = len(gates) // 2
-    roots = np.linalg.det(gates) ** 0.25
-    gb, sym = _magic_symmetric(gates / roots[:, None, None])  # [mb; lb], [m; l]
-    t1, t2 = np.einsum("...ii->...", sym), (sym * sym).sum((-2, -1))  # sym^T = sym
-    g = np.stack([t1 * t1 / 16.0, (t1 * t1 - t2) / 4.0])  # g1, g2 of unit-determinant gates
-    if not (_modulus(g[:, :n] - g[:, n:]) < DEFAULT_TOL).all():
-        raise NotEquivalent("gates have different local invariants")
-    differ, agree = _modulus(t1[:n] - t1[n:]), _modulus(t1[:n] + t1[n:])
-    flip = (differ > DEFAULT_TOL) & (agree < differ)
-    i = n + np.flatnonzero(flip)  # re-render those l with root * i
-    roots[i] = roots[i] * 1j
-    gb[i], sym[i] = _magic_symmetric(gates[i] / roots[i, None, None])
-    e, p = _diagonalize_symmetric_unitary(sym)
-    # pairs within DEFAULT_TOL may mix: merging eigenvalues d apart moves O_b by about d
-    close = _modulus(e[:n, :, None] - e[n:, None, :]) <= DEFAULT_TOL
-    u, _, vt = np.linalg.svd(close * (p[:n].swapaxes(-1, -2) @ p[n:]))
-    det_p = np.linalg.det(p)  # reflect along the last singular vector to stay in SO(4)
-    u[..., -1] *= np.sign(det_p[:n] * det_p[n:] * np.linalg.det(u @ vt))[:, None]
-    o_b = p[:n] @ u @ vt @ p[n:].swapaxes(-1, -2)
-    re_im = np.stack([sym.real, sym.imag])  # o_b is real: m O - O l in real products
-    if (np.hypot(*(re_im[:, :n] @ o_b - o_b @ re_im[:, n:])).max(axis=(-2, -1)) > _MATCH_TOL).any():
-        raise NotEquivalent("spectra of m and l could not be matched")
+    same_g, matched, shape, solved = _match(m_gate, l_gate)
+    if not matched.all():
+        raise NotEquivalent("gates have different local invariants" if not same_g.all()
+                            else "spectra of m and l could not be matched")
+    roots, gb, o_b = solved
+    n = len(o_b)
     o_prime_b = gb[n:] @ o_b.swapaxes(-1, -2) @ dagger(gb[:n])
     o, o_prime = (_sandwich(MAGIC_BASIS, x, _MAGIC_DAGGER) for x in (o_b, o_prime_b.real))
-    phase = _unstack((roots[n:] / roots[:n]).reshape(m_in.shape[:-2]), complex)
-    return LocalCorrectionPair(o.reshape(m_in.shape), o_prime.reshape(m_in.shape), phase)
+    phase = _unstack((roots[n:] / roots[:n]).reshape(shape[:-2]), complex)
+    return LocalCorrectionPair(o.reshape(shape), o_prime.reshape(shape), phase)

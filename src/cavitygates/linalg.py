@@ -1,9 +1,9 @@
 """Dense complex linear algebra for few-qubit operators (dimension <= 8).
 
 Conventions:
-  * Operators are square complex128 ndarrays.  `dagger`, `kron`, `is_hermitian`,
-    `is_unitary`, `hermitian_spectrum`, `expm_hermitian` and `phase_distance` also
-    take stacks (..., d, d), elementwise; `kron` and `phase_distance` raise
+  * Operators are square complex128 ndarrays.  `dagger`, `kron`, `is_unitary`,
+    `hermitian_spectrum`, `expm_hermitian` and `phase_distance` also take stacks
+    (..., d, d), elementwise; `kron` and `phase_distance` raise
     DimensionMismatch for stacks that do not broadcast.
   * numpy's stacked @ makes one small product per matrix, so `_sandwich` applies
     fixed factors to a whole stack as GEMMs over its rows, and traces are sums.
@@ -87,12 +87,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_hermitian(a):
-    """True if ||a - a^dagger||_F < DEFAULT_TOL; a bool array for a stack."""
-    m = _as_stack(a)
-    return _unstack(_frobenius(m - dagger(m)) < DEFAULT_TOL, bool)
-
-
 def is_unitary(a):
     """True if ||a^dagger a - 1||_F < DEFAULT_TOL; a bool array for a stack."""
     m = _as_stack(a)
@@ -103,10 +97,10 @@ def hermitian_spectrum(h) -> tuple[np.ndarray, ...]:
     """Eigenvalues w, unitary eigenvectors v and v^dagger of Hermitian h = v diag(w) v^dagger.
 
     Raises:
-        NotHermitian: if h (any matrix of a stack) fails the Hermiticity check.
+        NotHermitian: if ||h - h^dagger||_F >= DEFAULT_TOL (for any matrix of a stack).
     """
     m = _as_stack(h)
-    if not np.all(is_hermitian(m)):
+    if not (_frobenius(m - dagger(m)) < DEFAULT_TOL).all():
         raise NotHermitian("generator of a unitary evolution must be Hermitian")
     w, v = np.linalg.eigh(m)
     return w, v, dagger(v)

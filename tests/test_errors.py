@@ -20,6 +20,7 @@ from cavitygates.evolution import (
     HamiltonianForm,
     build_hamiltonian,
     compensation_layer,
+    compensation_rotation,
     coupling_eta,
     thermal_evolve,
     validity_ratio,
@@ -81,6 +82,19 @@ CASES = {
         DegenerateParams,
     ),
     "compose nbar < 0": (lambda: compose(cnot2_sequence(), nbar=-1.0), DegenerateParams),
+    # finite input whose thermal coefficient c = 2 nbar (+ 1), or c phi, overflows a float
+    "compensation_rotation, c overflows": (
+        lambda: compensation_rotation(LADDER, 1e308, 1.0),
+        NonFiniteValue,
+    ),
+    "compensation_rotation, c phi overflows": (
+        lambda: compensation_rotation(LADDER, 1e200, 1e200),
+        NonFiniteValue,
+    ),
+    "build_hamiltonian, c overflows": (
+        lambda: build_hamiltonian(2, LADDER, 1e308, include_linear=True),
+        NonFiniteValue,
+    ),
     # the same bad control/target pair raises the same type from both
     "controlled_not control = target": (lambda: controlled_not(3, 2, 2), InvalidQubits),
     "cnot3_sequence control = target": (lambda: cnot3_sequence(2, 2), InvalidQubits),

@@ -318,13 +318,21 @@ def test_solve_corrections_maximally_degenerate_classes(base, rng):
         assert is_local(pair.o) and is_local(pair.o_prime)
 
 
+def _invariants_agree(m_gate, l_gate):
+    """The invariant test alone: (g1, g2) of the two gates (or stacks) agree within DEFAULT_TOL
+    for every pair, as `local_invariants` gives them.  This was `are_equivalent`'s whole rule
+    before it took the solver's test, and it stays independent of the code under test."""
+    g = np.stack(local_invariants(np.stack([m_gate, l_gate])))  # (g1, g2) x (m, l)
+    return bool((_modulus(g[:, 0] - g[:, 1]) < DEFAULT_TOL).all())
+
+
 def _two_branch_reference(m_gate, l_gate):
     """The solver as it was before it picked the sign from the traces: after an
-    are_equivalent pre-check, every pair tries the principal fourth root of
+    invariant pre-check, every pair tries the principal fourth root of
     det L, then root * i, and keeps the first whose correction passes
     m O = O l.  Returns (o, o_prime, phase).  Its magic-basis changes use the
     solver's `_sandwich` kernel, so that its bits can match the solver's."""
-    if not np.all(are_equivalent(m_gate, l_gate)):
+    if not _invariants_agree(m_gate, l_gate):
         raise NotEquivalent("gates have different local invariants")
     m_in, l_in = both = np.stack([m_gate, l_gate]).astype(complex).reshape(2, -1, 4, 4)
     det_root_m, det_root_l = np.linalg.det(both) ** 0.25
@@ -403,6 +411,63 @@ def test_noisy_pairs_solve_where_the_two_branch_loop_did(seed, eps):
     pair = solve_local_corrections(m, l)
     assert phase_distance(pair.phase * pair.o_prime @ m @ pair.o, l) < 1e-8
     assert np.array_equal(pair.o, o[0]) and pair.phase == phase[0]
+
+
+def _solves(m_gate, l_gate):
+    """True iff solve_local_corrections finds corrections, False where it raises NotEquivalent."""
+    try:
+        solve_local_corrections(m_gate, l_gate)
+    except NotEquivalent:
+        return False
+    return True
+
+
+def _near(core, eps, rng):
+    """core e^{i eps H}, H a random real symmetric 4x4, dressed with Haar locals."""
+    h = rng.normal(size=(4, 4))
+    return _dressed(core @ expm_hermitian(h + h.T, -eps), rng)
+
+
+_PARTNERS = {
+    "dressed": lambda m, eps, rng: _dressed(m, rng),
+    "near": _near,
+    "unrelated": lambda m, eps, rng: haar_unitary(4, rng),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_CLASSES)),
+            st.sampled_from(sorted(_PARTNERS)),
+            st.floats(min_value=-9.0, max_value=-5.0),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_are_equivalent_is_true_exactly_where_the_solver_succeeds(seed, draws):
+    # near the CNOT line g moves as eps^2 and the spectrum of m as eps, so from eps
+    # about 1e-7 the invariants agree where m O = O l fails; one rule must answer both
+    rng = np.random.default_rng(seed)
+    m = np.array([_CLASSES[kind](rng) for kind, _, _ in draws])
+    l = np.array([_PARTNERS[p](g, 10.0 ** log_eps, rng) for g, (_, p, log_eps) in zip(m, draws)])
+    singles = [are_equivalent(a, b) for a, b in zip(m, l)]
+    assert singles == [_solves(a, b) for a, b in zip(m, l)]
+    assert np.array_equal(are_equivalent(m, l), singles)
+    assert all(singles) == _solves(m, l)
+
+
+def test_on_the_near_cnot_probe_are_equivalent_agrees_with_the_solver():
+    # CNOT e^{i 1e-6 H}, Haar-dressed: g agrees within DEFAULT_TOL on all 40 draws (the
+    # old rule said True on each), while no correction meets m O = O l
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        l = _near(cnot_gate(), 1e-6, rng)
+        assert _invariants_agree(cnot_gate(), l)
+        assert are_equivalent(cnot_gate(), l) == _solves(cnot_gate(), l)
 
 
 def _split_symmetric_pair(seed, angle, log_split):

@@ -9,7 +9,7 @@ from cavitygates.linalg import (
     _sandwich,
     dagger,
     expm_hermitian,
-    is_hermitian,
+    hermitian_spectrum,
     is_unitary,
     kron,
     phase_distance,
@@ -216,7 +216,11 @@ def test_phase_distance_symmetry_and_triangle(seed):
 
 
 def test_hermitian_unitary_predicates():
-    assert is_hermitian(SIGMA_X)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+    # hermitian_spectrum checks ||h - h^dagger||_F = 2 sqrt(2) eps < DEFAULT_TOL for X + i eps Z
+    assert_allclose(hermitian_spectrum(SIGMA_X)[0], [-1.0, 1.0])
+    assert hermitian_spectrum(SIGMA_X + 3e-10j * SIGMA_Z)[0].shape == (2,)
+    for bad in (np.array([[0, 1], [0, 0]]), SIGMA_X + 4e-10j * SIGMA_Z):
+        with pytest.raises(NotHermitian):
+            hermitian_spectrum(bad)
     assert is_unitary(SIGMA_X)
     assert not is_unitary(2 * np.eye(2))

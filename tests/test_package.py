@@ -16,7 +16,7 @@ EXPORTED = {
     "errors": """CavityGatesError DegenerateParams DimensionMismatch IndexOutOfRange InvalidAxis
         InvalidBranch InvalidForm InvalidQubits NonFiniteValue NotEquivalent NotFactorable
         NotHermitian NotUnitary""",
-    "linalg": "DEFAULT_TOL dagger expm_hermitian is_hermitian is_unitary kron phase_distance",
+    "linalg": "DEFAULT_TOL dagger expm_hermitian is_unitary kron phase_distance",
     "gates": """SIGMA_MINUS SIGMA_PLUS SIGMA_X SIGMA_Y SIGMA_Z cnot_gate controlled_not named_gate
         rotation swap_gate toffoli_gate u23_gate zyz_angles""",
     "spin": "collective_op coupled_basis_transform_3 dicke_projector_g pauli s_squared",
