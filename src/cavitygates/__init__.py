@@ -43,7 +43,7 @@ _EXPORTS = {
     ),
     "synthesis": (
         "CNOT2_GLOBAL_PHASE", "CNOT3_GLOBAL_PHASE", "CNOT3_MIDDLE_ANGLE", "cnot2_sequence",
-        "cnot3_sequence", "extract_factor", "spin_echo_u23", "toffoli_sequence",
+        "cnot3_sequence", "spin_echo_u23", "toffoli_sequence",
     ),
     "verify": ("ALL_CHECKS", "Metric", "Report", "run_checks"),
 }

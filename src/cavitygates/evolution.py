@@ -151,13 +151,12 @@ def compensation_rotation(
     accumulated over an evolution of phase phi = eta t.
 
     Returns ('z', -2 nbar phi) for the ladder form and
-    ('z', -(2 nbar + 1) phi) for the Casimir form; nbar, phi and the angle must
-    be finite (NonFiniteValue), nbar >= 0 (DegenerateParams).
+    ('z', -(2 nbar + 1) phi) for the Casimir form; nbar >= 0 (DegenerateParams),
+    and phi and nbar pass the pulse's own rule, `_check_phase(phi, c)`, which
+    keeps the angle c phi finite too (NonFiniteValue).
     """
-    _check_finite("phi", phi)
     c = _linear_coefficient(form, nbar)
-    if not isfinite(float(c) * float(phi)):  # Python floats: no warning
-        raise NonFiniteValue(f"c phi must be finite, overflows at phi = {phi}, nbar = {nbar}")
+    _check_phase(phi, c)
     return ("z", -c * phi)
 
 

@@ -119,9 +119,6 @@ NAMED_GATES = {
 
 
 def named_gate(name: str) -> np.ndarray:
-    try:
-        return NAMED_GATES[name.lower()]()
-    except KeyError:
-        raise CavityGatesError(
-            f"unknown gate {name!r}; known: {', '.join(sorted(NAMED_GATES))}"
-        ) from None
+    if not isinstance(name, str) or name.lower() not in NAMED_GATES:
+        raise CavityGatesError(f"unknown gate {name!r}; known: {', '.join(sorted(NAMED_GATES))}")
+    return NAMED_GATES[name.lower()]()

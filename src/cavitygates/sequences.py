@@ -27,9 +27,9 @@ sequences), and every later compose of the object only multiplies.  The
 first compose keeps nothing, so a sequence composed once, as a fresh one
 usually is, pays nothing for it.  An equal but distinct object does not
 share the stack: it renders its own.  The named sequences are cached
-objects, so they are the ones that reach it: 16 of the 21 composes of a
-warm `run_checks("all")` and 9 of the 11 operations of the benchmark's
-synthesize workload (the echoes are built fresh), but none of its
+objects, so they are the ones that reach it: 20 of the 21 composes of a
+warm `run_checks("all")` (all but check 4's fresh core) and all 11
+operations of the benchmark's synthesize workload, but none of its
 random-compose timed composes.  Code that patches the rendering must
 compose fresh objects to see it.
 
@@ -73,6 +73,8 @@ class LocalLayer:
     rotations: tuple[tuple[int, str, float], ...]
 
     def __post_init__(self):
+        # a tuple of tuples: an iterator is read once, a list is unhashable
+        object.__setattr__(self, "rotations", tuple(map(tuple, self.rotations)))
         for qubit, axis, angle in self.rotations:
             _check_qubit(qubit)
             _check_rotation(axis, angle)
@@ -97,6 +99,7 @@ class GateSequence:
 
     def __post_init__(self):
         _check_atoms(self.n_atoms)
+        object.__setattr__(self, "steps", tuple(self.steps))  # as LocalLayer's rotations
         for step in self.steps:  # exact types, as `_step_unitaries` dispatches on them
             if type(step) is LocalLayer:
                 for qubit, _, _ in step.rotations:

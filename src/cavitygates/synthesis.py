@@ -34,11 +34,10 @@ exp(-i t sigma_a / 2), layers written in application order).
 The composed sequences equal their target gates entrywise to rounding,
 global phase included (an explicit final step); tests re-derive the layers
 with `invariants.solve_local_corrections` on each core as `compose`
-renders it.  Each named sequence is a constant: `cnot2_sequence`,
-`cnot3_sequence` and `toffoli_sequence` build it on first use and return
-that one immutable GateSequence for every later call with the same valid
-arguments, the Toffolis spliced from the cached CNOT blocks' steps;
-`spin_echo_u23` is built afresh, as its k is unbounded.
+renders it.  One rule holds for every named sequence: it is built once
+per valid argument, on first use, and every later call with that argument
+returns the same immutable GateSequence; the Toffolis are spliced from the
+cached CNOT blocks' steps.
 """
 
 from __future__ import annotations
@@ -46,11 +45,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import atan, pi, sqrt
 
-import numpy as np
-
-from .errors import InvalidBranch, NotFactorable, _check_control_target, _is_integer
+from .errors import InvalidBranch, _check_control_target, _is_integer
 from .evolution import HamiltonianForm
-from .linalg import DEFAULT_TOL, _as_stack
 from .sequences import CollectiveEvolution, GateSequence, GlobalPhase, LocalLayer
 
 #: Middle-pulse angle of the three-atom CNOT core, tan(phi_f/2) = 1/sqrt(2).
@@ -83,50 +79,32 @@ def cnot2_sequence() -> GateSequence:
     return GateSequence(2, steps, label="cnot2")
 
 
-def _echo_steps(idle_atom: int, branch: int, k: int = 0):
-    """Spin-echo block at phi = (2 pi / 3)(3 k + branch): evolve, NOT the idle atom, repeat."""
+def _echo_steps(idle_atom: int, branch: int):
+    """Spin-echo block at phi = branch 2 pi / 3: evolve, NOT the idle atom, repeat."""
     pulse = LocalLayer(((idle_atom, "x", pi),))
-    evo = CollectiveEvolution(2.0 * pi / 3.0 * (3 * k + branch), HamiltonianForm.CASIMIR)
+    evo = CollectiveEvolution(2.0 * pi / 3.0 * branch, HamiltonianForm.CASIMIR)
     return (evo, pulse, evo, pulse)
 
 
-def spin_echo_u23(branch: int, k: int = 0) -> GateSequence:
+def spin_echo_u23(branch: int) -> GateSequence:
     """Spin-echo sequence isolating atoms 2 and 3 of a three-atom register.
 
     A NOT pulse on atom 1 between two equal collective pulses cancels
     atom 1's coupling when sin(3 phi / 2) = 0, i.e. for
-    phi = (2 pi / 3)(3 k + branch).  branch = +1 gives 1 x U23 with
+    phi = (2 pi / 3)(3 k + branch); this echo uses the shortest window,
+    k = 0.  branch = +1 gives 1 x U23 with
     U23 = exp(-i pi/3 sigma_z x sigma_z); branch = -1 gives its adjoint
     (branch 0 would be the identity and is rejected).
     """
     if not _is_integer(branch) or branch not in (-1, 1):
         raise InvalidBranch(f"branch must be the integer +1 or -1, got {branch!r}")
-    if not _is_integer(k) or k < 0:
-        raise InvalidBranch(f"k must be a non-negative integer, got {k!r}")
-    return GateSequence(
-        n_atoms=3,
-        steps=_echo_steps(1, branch, k),
-        label=f"spin_echo_u23(branch={branch:+d}, k={k})",
-    )
+    return _spin_echo_u23(int(branch))
 
 
-def extract_factor(u) -> np.ndarray:
-    """The 4x4 factor V of an 8x8 unitary of the form 1 x V.
-
-    Raises:
-        NotFactorable: if the off-diagonal 4x4 blocks are not zero or
-            the two diagonal blocks disagree beyond DEFAULT_TOL.
-    """
-    m = _as_stack(u)
-    if m.shape != (8, 8):
-        raise NotFactorable(f"expected an 8x8 unitary, got shape {m.shape}")
-    upper, lower = m[:4, 4:], m[4:, :4]
-    if np.linalg.norm(upper) > DEFAULT_TOL or np.linalg.norm(lower) > DEFAULT_TOL:
-        raise NotFactorable("off-diagonal blocks are nonzero: atom 1 is entangled")
-    top, bottom = m[:4, :4], m[4:, 4:]
-    if np.linalg.norm(top - bottom) > DEFAULT_TOL:
-        raise NotFactorable("diagonal blocks differ: not of the form 1 x V")
-    return top.copy()
+@lru_cache(maxsize=None)
+def _spin_echo_u23(branch: int) -> GateSequence:
+    """`spin_echo_u23` after its check; the label's k=0 names the window it uses."""
+    return GateSequence(3, _echo_steps(1, branch), label=f"spin_echo_u23(branch={branch:+d}, k=0)")
 
 
 def _cnot3_core(control: int, target: int) -> tuple:
@@ -152,7 +130,7 @@ def _relabel(layer: LocalLayer, qubits: tuple[int, int]) -> LocalLayer:
 def cnot3_sequence(control: int = 2, target: int = 3) -> GateSequence:
     """CNOT between two atoms of a three-atom register, third untouched.
 
-    Two spin-echo blocks (branch +1, k = 0: the shortest implementation)
+    Two spin-echo blocks (branch +1, phi = 2 pi/3: the shortest window)
     sandwich R_y(phi_f) on the target atom; the closed-form one-qubit
     corrections and the global phase -pi/4 make the composition equal
     the embedded CNOT exactly.  Other control/target choices relabel the

@@ -125,14 +125,14 @@ def check_cnot2() -> Report:
 
 def check_spin_echo() -> Report:
     """Spin echo isolates atoms 2, 3 and leaves exp(-i pi/3 zz)."""
-    u = compose(spin_echo_u23(+1, 0))
+    u = compose(spin_echo_u23(+1))
     u23 = gates.u23_gate()
     target = kron(np.eye(2), u23)
     off = max(float(np.linalg.norm(u[:4, 4:])), float(np.linalg.norm(u[4:, :4])))
     factor = u[:4, :4]  # "phase distance to 1 x U23" covers the bottom block
     # a wrong echo leaves no unitary factor, hence no class: its metric fails
     g1, g2 = local_invariants(factor) if is_unitary(factor) else (inf, inf)
-    adj = compose(spin_echo_u23(-1, 0))
+    adj = compose(spin_echo_u23(-1))
     return Report(
         "spin-echo isolation of atoms 2 and 3",
         (
@@ -344,7 +344,7 @@ def run_checks(target: str) -> list[Report]:
     """Run the verification checks registered for a target name."""
     try:
         checks = VERIFY_TARGETS[target]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable target
         raise CavityGatesError(
             f"unknown verify target {target!r}; known: {', '.join(sorted(VERIFY_TARGETS))}"
         ) from None

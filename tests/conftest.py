@@ -94,8 +94,9 @@ def rng():
 def fresh_synthesis():
     """Clear every cached named sequence before and after the test, so a sequence
     built under a patched layer cannot leak into another test, and the test composes
-    fresh objects: a named sequence composed twice keeps the factors it rendered."""
-    caches = (synthesis.cnot2_sequence, synthesis._cnot3_sequence, synthesis._toffoli_sequence)
+    fresh objects: a named sequence composed twice keeps the factors it rendered.
+    Every cached builder in `synthesis` is found by its `cache_clear`, so none is missed."""
+    caches = [f for f in vars(synthesis).values() if hasattr(f, "cache_clear")]
     for cache in caches:
         cache.cache_clear()
     yield

@@ -116,18 +116,19 @@ CASES = {
     # det = 1 but not unitary: rejected up front, before any angle is taken
     "zyz det = 1, not unitary": (lambda: zyz_angles(np.diag([2.0, 0.5])), NotUnitary),
     "named gate": (lambda: named_gate("nosuchgate"), CavityGatesError),
-    "echo k < 0": (lambda: spin_echo_u23(+1, k=-1), InvalidBranch),
+    "named gate None": (lambda: named_gate(None), CavityGatesError),
+    "named gate 5": (lambda: named_gate(5), CavityGatesError),
     # a float branch equal to +-1 is not an integer either
     "echo branch 1.0": (lambda: spin_echo_u23(1.0), InvalidBranch),
     "echo branch float64(-1)": (lambda: spin_echo_u23(np.float64(-1)), InvalidBranch),
     "echo branch True": (lambda: spin_echo_u23(True), InvalidBranch),
-    "echo k False": (lambda: spin_echo_u23(+1, k=False), InvalidBranch),
     "step kind": (lambda: sequence_from_json(_steps({"kind": "teleport"})), CavityGatesError),
     "form string": (
         lambda: sequence_from_json(_steps({"kind": "evolve", "phi": 0.25, "form": "bogus"})),
         InvalidForm,
     ),
     "verify target": (lambda: run_checks("nosuchtarget"), CavityGatesError),
+    "verify target []": (lambda: run_checks([]), CavityGatesError),
     "matrix {}": (lambda: matrix_from_json({}), CavityGatesError),
     "matrix []": (lambda: matrix_from_json([]), CavityGatesError),
     "matrix without im": (lambda: matrix_from_json({"dim": 2, "re": ZERO_2}), CavityGatesError),

@@ -27,7 +27,7 @@ EXPORTED = {
     "sequences": """CollectiveEvolution GateSequence GlobalPhase LocalLayer collective_time compose
         local_layer_unitary""",
     "synthesis": """CNOT2_GLOBAL_PHASE CNOT3_GLOBAL_PHASE CNOT3_MIDDLE_ANGLE cnot2_sequence
-        cnot3_sequence extract_factor spin_echo_u23 toffoli_sequence""",
+        cnot3_sequence spin_echo_u23 toffoli_sequence""",
     "verify": "ALL_CHECKS Metric Report run_checks",
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]

@@ -460,6 +460,13 @@ def test_every_compose_of_an_object_is_bit_identical_and_a_fresh_array(drawn):
     for u in us:
         u[...] = np.nan  # each result owns its memory: nothing later sees the write
     assert compose(seq).tobytes() == fresh.tobytes()
+    # steps given by a generator or as lists are stored as the tuples: read once, hashable
+    lists = [LocalLayer([list(r) for r in s.rotations]) if type(s) is LocalLayer else s
+             for s in drawn.steps]
+    for steps in ((s for s in drawn.steps), lists, iter(lists)):
+        other = GateSequence(drawn.n_atoms, steps, drawn.label)
+        assert other == seq and hash(other) == hash(seq)
+        assert compose(other).tobytes() == fresh.tobytes()
 
 
 def test_a_patched_pulse_is_seen_by_a_fresh_sequence_not_by_a_kept_one(monkeypatch):

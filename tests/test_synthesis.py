@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from cavitygates.errors import InvalidBranch, InvalidQubits, NotEquivalent, NotFactorable
 from cavitygates.evolution import HamiltonianForm
@@ -20,7 +19,6 @@ from cavitygates import gates, invariants, synthesis
 from cavitygates.synthesis import (
     cnot2_sequence,
     cnot3_sequence,
-    extract_factor,
     spin_echo_u23,
     toffoli_sequence,
 )
@@ -100,7 +98,7 @@ def test_cnot2_collective_time():
 # -- spin echo -----------------------------------------------------------
 
 def test_spin_echo_factorizes():
-    u = compose(spin_echo_u23(+1, 0))
+    u = compose(spin_echo_u23(+1))
     assert is_unitary(u)
     assert np.linalg.norm(u[:4, 4:]) < 1e-9
     assert np.linalg.norm(u[4:, :4]) < 1e-9
@@ -108,23 +106,30 @@ def test_spin_echo_factorizes():
 
 
 def test_spin_echo_extracted_factor():
-    factor = extract_factor(compose(spin_echo_u23(+1, 0)))
+    factor = compose(spin_echo_u23(+1))[:4, :4]
     assert np.abs(factor - u23_gate()).max() < 1e-9
     g1, g2 = local_invariants(factor)
     assert abs(g1 - 0.25) < 1e-9 and abs(g2 - 1.5) < 1e-9
 
 
 def test_spin_echo_adjoint_branch():
-    minus = compose(spin_echo_u23(-1, 0))
-    plus = compose(spin_echo_u23(+1, 0))
+    minus = compose(spin_echo_u23(-1))
+    plus = compose(spin_echo_u23(+1))
     assert phase_distance(minus, plus.conj().T) < 1e-9
 
 
 def test_spin_echo_longer_timing_window():
-    # k = 1 uses phi = 2 pi/3 * 4 and reproduces the same gate
-    assert phase_distance(
-        compose(spin_echo_u23(+1, 1)), compose(spin_echo_u23(+1, 0))
-    ) < 1e-9
+    # the next window, phi = 8 pi/3 = 2 pi/3 + 2 pi, reproduces the same gate up to phase
+    steps = GateSequence(
+        3,
+        (
+            CollectiveEvolution(8 * np.pi / 3, HamiltonianForm.CASIMIR),
+            LocalLayer(((1, "x", np.pi),)),
+            CollectiveEvolution(8 * np.pi / 3, HamiltonianForm.CASIMIR),
+            LocalLayer(((1, "x", np.pi),)),
+        ),
+    )
+    assert phase_distance(compose(steps), compose(spin_echo_u23(+1))) < 1e-9
 
 
 def test_spin_echo_identity_branch_math():
@@ -143,26 +148,10 @@ def test_spin_echo_identity_branch_math():
 
 
 def test_spin_echo_rejects_bad_branch():
-    # bool is an int subclass: True would otherwise pass as branch +1 or as k = 1
-    for branch, k in ((0, 0), (2, 0), (-3, 0), (True, 0), (-1, True), (1, False)):
+    # bool is an int subclass: True would otherwise pass as branch +1
+    for branch in (0, 2, -3, True):
         with pytest.raises(InvalidBranch):
-            spin_echo_u23(branch, k)
-    with pytest.raises(ValueError):
-        spin_echo_u23(+1, k=-1)
-
-
-def test_extract_factor_reference_cases():
-    assert_allclose(extract_factor(kron(np.eye(2), cnot_gate())), cnot_gate())
-    assert_allclose(extract_factor(np.eye(8)), np.eye(4))
-    with pytest.raises(NotFactorable):
-        extract_factor(controlled_not(3, 1, 3))  # atom 1 controls: diagonal blocks differ
-    with pytest.raises(NotFactorable):
-        extract_factor(kron(np.diag([1, 1j]), cnot_gate()))  # blocks differ
-    with pytest.raises(NotFactorable):
-        extract_factor(np.eye(4))
-    # atom 1 flipped by atom 2: equal diagonal blocks, off-diagonal blocks of norm 1
-    with pytest.raises(NotFactorable, match="off-diagonal"):
-        extract_factor(controlled_not(3, 2, 1))
+            spin_echo_u23(branch)
 
 
 # -- three atoms ---------------------------------------------------------
@@ -260,6 +249,8 @@ def test_builders_are_deterministic():
 def test_named_sequences_are_built_once():
     # each named sequence is a constant: every call with the same arguments returns one object
     assert cnot2_sequence() is cnot2_sequence()
+    assert spin_echo_u23(+1) is spin_echo_u23(+1)
+    assert spin_echo_u23(np.int64(-1)) is spin_echo_u23(-1)  # keyed on int(branch)
     assert cnot3_sequence(3, 1) is cnot3_sequence(3, 1)
     assert cnot3_sequence() is cnot3_sequence(2, 3) is cnot3_sequence(target=3, control=2)
     for simplified in (False, True):
@@ -331,7 +322,7 @@ def test_the_solver_reproduces_the_closed_form_corrections(n, phase_step, pre, p
     if n == 2:
         core = compose(GateSequence(2, synthesis._CNOT2_CORE))
     else:
-        core = extract_factor(compose(GateSequence(3, synthesis._cnot3_core(2, 3))))
+        core = compose(GateSequence(3, synthesis._cnot3_core(2, 3)))[:4, :4]
     solved_pre, solved_post, theta = _correction_layers(core, phase_step)
     for solved, constant in ((solved_pre, pre), (solved_post, post)):
         assert np.abs(local_layer_unitary(solved, 2) - local_layer_unitary(constant, 2)).max() < 1e-12

@@ -106,7 +106,7 @@ def test_all_checks_load_no_numpy_random_that_the_import_did_not():
     subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
 
 
-def _entangling_echo(branch, k=0):
+def _entangling_echo(branch):
     """A wrong echo: one collective pulse, which leaves atom 1 entangled with atoms 2 and 3."""
     return sequences.GateSequence(3, (sequences.CollectiveEvolution(0.7 * branch),))
 
@@ -228,7 +228,7 @@ def test_check_cnot2_fails_on_ladder_pulses_rendered_with_the_casimir_h0(monkeyp
 
 
 def test_the_spin_echo_factor_is_the_one_extract_factor_reads():
-    factor = synthesis.extract_factor(sequences.compose(synthesis.spin_echo_u23(+1, 0)))
+    factor = sequences.compose(synthesis.spin_echo_u23(+1))[:4, :4]
     artifact = verify.check_spin_echo().artifacts["extracted_factor"]
     assert artifact == serialize.matrix_to_json(factor)
 
