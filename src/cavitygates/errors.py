@@ -79,6 +79,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_bool(name: str, value) -> None:
+    """Raise CavityGatesError unless value is a Python or numpy bool (a string is not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise CavityGatesError(f"{name} must be a bool, got {value!r}")
+
+
 def _check_qubit(qubit: int, n_atoms: float = inf) -> None:
     """Raise IndexOutOfRange unless qubit is an integer in 1..n_atoms."""
     if not _is_integer(qubit) or not 1 <= qubit <= n_atoms:
@@ -88,5 +94,5 @@ def _check_qubit(qubit: int, n_atoms: float = inf) -> None:
 def _check_control_target(control: int, target: int, n_qubits: int) -> None:
     """Raise InvalidQubits unless control and target are distinct integers in 1..n_qubits."""
     integers = all(_is_integer(x) for x in (n_qubits, control, target))
-    if control == target or not (integers and 1 <= control <= n_qubits and 1 <= target <= n_qubits):
+    if not (integers and control != target and 1 <= control <= n_qubits and 1 <= target <= n_qubits):
         raise InvalidQubits(f"control, target must be distinct in 1..{n_qubits}: {control}, {target}")

@@ -45,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import atan, pi, sqrt
 
-from .errors import InvalidBranch, _check_control_target, _is_integer
+from .errors import InvalidBranch, _check_bool, _check_control_target, _is_integer
 from .evolution import HamiltonianForm
 from .sequences import CollectiveEvolution, GateSequence, GlobalPhase, LocalLayer
 
@@ -164,6 +164,7 @@ def toffoli_sequence(simplified: bool = False) -> GateSequence:
     flip of the single basis state |101>.  Collective time 8 pi, half
     the full gate.
     """
+    _check_bool("simplified", simplified)
     return _toffoli_sequence(bool(simplified))
 
 

@@ -29,7 +29,12 @@ from cavitygates.gates import controlled_not, named_gate, zyz_angles
 from cavitygates.sequences import compose
 from cavitygates.serialize import matrix_from_json, sequence_from_json
 from cavitygates.spin import collective_op
-from cavitygates.synthesis import cnot2_sequence, cnot3_sequence, spin_echo_u23
+from cavitygates.synthesis import (
+    cnot2_sequence,
+    cnot3_sequence,
+    spin_echo_u23,
+    toffoli_sequence,
+)
 from cavitygates.verify import run_checks
 
 ZERO_2 = [[0, 0], [0, 0]]
@@ -102,6 +107,15 @@ CASES = {
     "controlled_not control True": (lambda: controlled_not(2, True, 2), InvalidQubits),
     "controlled_not n 2.5": (lambda: controlled_not(2.5, 1, 2), InvalidQubits),
     "cnot3_sequence target True": (lambda: cnot3_sequence(2, True), InvalidQubits),
+    # an array is not an integer either: checked before control == target is compared
+    "cnot3_sequence control array": (
+        lambda: cnot3_sequence(np.array([1, 2]), 3),
+        InvalidQubits,
+    ),
+    "controlled_not control array": (
+        lambda: controlled_not(3, np.array([1, 2]), 3),
+        InvalidQubits,
+    ),
     "sequence n_atoms true": (
         lambda: sequence_from_json({"n_atoms": True, "steps": []}),
         IndexOutOfRange,
@@ -122,6 +136,11 @@ CASES = {
     "echo branch 1.0": (lambda: spin_echo_u23(1.0), InvalidBranch),
     "echo branch float64(-1)": (lambda: spin_echo_u23(np.float64(-1)), InvalidBranch),
     "echo branch True": (lambda: spin_echo_u23(True), InvalidBranch),
+    # bool("False") is True: only a bool picks a Toffoli, a string or a list would pick the
+    # simplified one, which flips the sign of |101>
+    "toffoli simplified 'False'": (lambda: toffoli_sequence("False"), CavityGatesError),
+    "toffoli simplified 'no'": (lambda: toffoli_sequence("no"), CavityGatesError),
+    "toffoli simplified [0]": (lambda: toffoli_sequence([0]), CavityGatesError),
     "step kind": (lambda: sequence_from_json(_steps({"kind": "teleport"})), CavityGatesError),
     "form string": (
         lambda: sequence_from_json(_steps({"kind": "evolve", "phi": 0.25, "form": "bogus"})),

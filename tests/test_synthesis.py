@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from cavitygates.errors import InvalidBranch, InvalidQubits, NotEquivalent, NotFactorable
+from cavitygates.errors import (
+    CavityGatesError,
+    InvalidBranch,
+    InvalidQubits,
+    NotEquivalent,
+    NotFactorable,
+)
 from cavitygates.evolution import HamiltonianForm
 from cavitygates.gates import cnot_gate, controlled_not, toffoli_gate, u23_gate
 from cavitygates.invariants import LocalCorrectionPair, local_invariants
@@ -269,8 +275,13 @@ def test_a_cached_cnot3_still_rejects_bad_qubits(fresh_synthesis):
 
 
 def test_toffoli_takes_the_truth_of_simplified():
+    # a numpy bool is a truth value; an integer is not taken for one, as bool("False") would
+    # pick the simplified gate
     assert toffoli_sequence(np.bool_(True)) is toffoli_sequence(True)
-    assert toffoli_sequence(0) is toffoli_sequence(False)
+    assert toffoli_sequence(np.bool_(False)) is toffoli_sequence(False)
+    for simplified in (0, 1, None, "False"):
+        with pytest.raises(CavityGatesError, match="simplified must be a bool"):
+            toffoli_sequence(simplified)
 
 
 @pytest.mark.parametrize(
