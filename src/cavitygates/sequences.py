@@ -19,16 +19,19 @@ times a cached -i sigma on its qubit plus cos(angle/2) on the diagonal; one
 per phase, on the diagonal) and multiplies neighbours pairwise, level by
 level; `step_unitary` runs the same path on one step.
 
-A sequence is immutable, so compose() is a pure function of the object.
-From its second compose on, a GateSequence object keeps its d x d product,
-read-only (d^2 16 bytes: 10,496 for all eleven named sequences), and later
-composes return a copy; the first keeps nothing, so a sequence composed
-once, as a fresh one usually is, pays nothing.  An equal but distinct
-object composes its own.  The cached named sequences are what reach it: 20
-of the 21 composes of a warm `run_checks("all")` (all but check 4's fresh
-core), all 11 synthesize operations of the benchmark, none of its timed
-random composes.  Code that patches the rendering must compose fresh
-objects to see it.
+A sequence is immutable, so its factors are a pure function of the
+object.  The second compose of one GateSequence object keeps the stack
+it renders on that object, read-only (k d^2 16 bytes for k factors on d
+= 2^n states: 104 KB for the Toffoli's 102, 0.26 MB for all eleven named
+sequences), and every later compose of the object only multiplies.  The
+first compose keeps nothing, so a sequence composed once, as a fresh one
+usually is, pays nothing for it.  An equal but distinct object does not
+share the stack: it renders its own.  The named sequences are cached
+objects, so they are the ones that reach it: 20 of the 21 composes of a
+warm `run_checks("all")` (all but check 4's fresh core) and all 11
+operations of the benchmark's synthesize workload, but none of its
+random-compose timed composes.  Code that patches the rendering must
+compose fresh objects to see it.
 
 Each step checks its own fields when constructed: phi, angles and theta
 finite, phi H_0 within float range, form a HamiltonianForm, axes x/y/z,
@@ -105,8 +108,8 @@ class GateSequence:
                 raise TypeError(f"unknown sequence step {step!r}")
 
     def __getstate__(self):
-        """The fields alone: a copy or an unpickled sequence keeps no composed product."""
-        return {name: value for name, value in self.__dict__.items() if name != "_composed"}
+        """The fields alone: a copy or an unpickled sequence keeps no factor stack."""
+        return {name: value for name, value in self.__dict__.items() if name != "_stack"}
 
 
 @lru_cache(maxsize=None)
@@ -149,15 +152,20 @@ def _step_unitaries(seq: GateSequence) -> np.ndarray:
 
 def _product(us: np.ndarray) -> np.ndarray:
     """us[k-1] @ ... @ us[0], multiplied pairwise level by level, an odd last factor carried
-    up, each level written into a reused buffer (us is one); the identity for an empty stack."""
+    up; us is only read (it may be a kept, read-only stack), the levels written alternately
+    into two buffers, one for the first level and one for the second; the identity for an
+    empty stack."""
     k = len(us)
-    src, dst = us, np.empty(((k + 1) // 2, *us.shape[1:]), dtype=complex)
+    half = (k + 1) // 2
+    buffers = np.empty((half + (half + 1) // 2, *us.shape[1:]), dtype=complex)
+    first, second = buffers[:half], buffers[half:]
+    src, dst = us, first
     while k > 1:
         pairs, odd = divmod(k, 2)
         np.matmul(src[1:2 * pairs:2], src[:2 * pairs:2], out=dst[:pairs])
         if odd:
             dst[pairs] = src[k - 1]
-        src, dst, k = dst, src, pairs + odd
+        src, dst, k = dst, (second if dst is first else first), pairs + odd
     return src[0].copy() if k else np.eye(us.shape[-1], dtype=complex)  # frees the buffers
 
 
@@ -180,18 +188,19 @@ def compose(seq: GateSequence, nbar: float = 0.0) -> np.ndarray:
     Collective steps are compensated, so the result does not depend on
     nbar, which is only checked to be finite and >= 0.
 
-    From its second compose on, a sequence object keeps the product,
-    read-only, and later composes return a copy of it.
+    The second compose of a sequence object keeps its rendered factor
+    stack on that object, read-only; every later compose of it only
+    multiplies.  An equal but distinct object renders its own.
     """
     _check_non_negative("nbar", nbar)
     state = seq.__dict__
-    kept = state.get("_composed")
-    if kept is not None:
-        return kept.copy()
-    u = _product(_step_unitaries(seq))
-    # None marks a first compose: a sequence composed once, as most fresh ones are, keeps nothing
-    state["_composed"] = read_only(u.copy()) if "_composed" in state else None
-    return u
+    us = state.get("_stack")
+    if us is None:
+        us = _step_unitaries(seq)
+        # None marks a first compose: a sequence composed once, as most fresh ones are,
+        # keeps nothing
+        state["_stack"] = read_only(us) if "_stack" in state else None
+    return _product(us)
 
 
 def collective_time(seq: GateSequence) -> float:

@@ -24,13 +24,14 @@ from cavitygates.errors import (
 )
 from cavitygates.evolution import HamiltonianForm, evolve
 from cavitygates.gates import rotation
-from cavitygates.linalg import kron, phase_distance
+from cavitygates.linalg import kron, phase_distance, read_only
 from cavitygates.sequences import (
     CollectiveEvolution,
     GateSequence,
     GlobalPhase,
     LocalLayer,
     _generators,
+    _product,
     _step_unitaries,
     collective_time,
     compose,
@@ -386,7 +387,7 @@ def test_stacked_rendering_equals_the_one_matrix_fold(seq):
     assert _close(u, _reference_compose(seq), len(factors))
 
 
-# -- the kept product: from its second compose on, a sequence object returns a copy of it
+# -- the kept factor stack: from its second compose on, a sequence object only multiplies
 
 #: Five factors, so `_product` runs three levels and carries an odd factor up.
 KEPT = GateSequence(3, (
@@ -395,20 +396,14 @@ KEPT = GateSequence(3, (
 ))
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap sequences.<name> in a spy; the returned list gets each call's first argument."""
-    calls, original = [], getattr(sequences_module, name)
-
-    def spy(arg):
-        calls.append(arg)
-        return original(arg)
-
-    monkeypatch.setattr(sequences_module, name, spy)
-    return calls
-
-
 def test_a_sequence_renders_on_its_first_two_composes_and_never_again(monkeypatch):
-    rendered = _count_calls(monkeypatch, "_step_unitaries")
+    rendered = []
+
+    def spy(seq):
+        rendered.append(seq)
+        return _step_unitaries(seq)
+
+    monkeypatch.setattr(sequences_module, "_step_unitaries", spy)
     seq = replace(KEPT)
     counts = []
     for _ in range(5):
@@ -419,26 +414,12 @@ def test_a_sequence_renders_on_its_first_two_composes_and_never_again(monkeypatc
     assert len(rendered) == 3 and rendered[-1] is not seq
 
 
-def test_a_sequence_multiplies_on_its_first_two_composes_and_never_again(monkeypatch):
-    multiplied = _count_calls(monkeypatch, "_product")
-    seq = replace(KEPT)
-    counts = []
-    for _ in range(5):
-        compose(seq)
-        counts.append(len(multiplied))
-    assert counts == [1, 2, 2, 2, 2]
-    assert [us.shape for us in multiplied] == [(5, 8, 8)] * 2
-
-
 def test_the_kept_stack_is_read_only():
-    # what is kept is the (d, d) product, not the (k, d, d) factor stack
     seq = replace(KEPT)
     compose(seq)
-    assert seq.__dict__["_composed"] is None  # a first compose keeps nothing
-    want = compose(seq)
-    kept = seq.__dict__["_composed"]
-    assert kept.shape == (8, 8) and not kept.flags.writeable
-    assert kept.tobytes() == want.tobytes() and not np.shares_memory(kept, want)
+    compose(seq)
+    kept = seq.__dict__["_stack"]
+    assert kept.shape == (5, 8, 8) and not kept.flags.writeable
     with pytest.raises(ValueError):
         kept[0] = 0
 
@@ -448,9 +429,18 @@ def test_a_copied_or_unpickled_sequence_keeps_no_stack():
     compose(seq)
     compose(seq)
     for other in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
-        assert other == seq and "_composed" not in other.__dict__
+        assert other == seq and "_stack" not in other.__dict__
         assert compose(other).tobytes() == compose(seq).tobytes()
-    assert len(pickle.dumps(seq)) < 1024  # the fields, not the 1 kB product
+    assert len(pickle.dumps(seq)) < 2000  # the fields, not the 5 kB stack
+
+
+def test_product_reads_a_read_only_stack_and_leaves_it_unchanged():
+    for seq in (replace(KEPT), GateSequence(2, (CollectiveEvolution(0.4, LADDER),))):
+        us = _step_unitaries(seq)
+        want = _product(us.copy())
+        before = us.copy()
+        assert np.array_equal(_product(read_only(us)), want)
+        assert np.array_equal(us, before)
 
 
 @settings(max_examples=150, deadline=None)
@@ -461,11 +451,11 @@ def test_every_compose_of_an_object_is_bit_identical_and_a_fresh_array(drawn):
     seq = replace(drawn)  # an object no earlier example composed
     us = [compose(seq) for _ in range(3)]
     fresh = compose(replace(drawn))
-    assert seq.__dict__["_composed"].tobytes() == fresh.tobytes()
+    assert seq.__dict__["_stack"].tobytes() == _step_unitaries(replace(drawn)).tobytes()
     assert seq == replace(drawn) and hash(seq) == hash(replace(drawn))
     for u in us:
         assert u.flags.writeable and u.tobytes() == fresh.tobytes()
-    arrays = [*us, fresh, seq.__dict__["_composed"]]
+    arrays = [*us, fresh, seq.__dict__["_stack"]]
     assert not any(np.shares_memory(a, b) for a, b in combinations(arrays, 2))
     for u in us:
         u[...] = np.nan  # each result owns its memory: nothing later sees the write
@@ -481,7 +471,7 @@ def test_every_compose_of_an_object_is_bit_identical_and_a_fresh_array(drawn):
 
 def test_a_patched_pulse_is_seen_by_a_fresh_sequence_not_by_a_kept_one(monkeypatch):
     # why fault tests clear the named-sequence caches (conftest's fresh_synthesis): a named
-    # sequence composed twice keeps the product it composed before the patch
+    # sequence composed twice keeps the factors it rendered before the patch
     seq = replace(KEPT)
     compose(seq)
     want = compose(seq)
