@@ -51,6 +51,8 @@ class HamiltonianForm(enum.Enum):
     LADDER = "ladder"    # S+ S-  (+ 2 nbar Sz)
     CASIMIR = "casimir"  # S^2 - Sz^2  (+ (2 nbar + 1) Sz)
 
+    __hash__ = object.__hash__  # members are singletons compared by identity: no Python hash
+
     @classmethod
     def _missing_(cls, value):
         raise InvalidForm(f"unknown Hamiltonian form {value!r}")
@@ -69,7 +71,7 @@ class CavityParams:
     delta is the atom-cavity detuning omega_0 - omega; its sign sets the
     sign of eta.  nbar is the mean thermal photon number of the mode.
     g, delta, kappa and nbar must be finite (NonFiniteValue otherwise);
-    g, kappa, nbar >= 0, kappa, delta not both 0, and g^2 and kappa^2 + delta^2
+    g, kappa, nbar >= 0, and g^2, kappa^2 + delta^2 (not 0), eta and validity_ratio
     finite floats (DegenerateParams otherwise).
     """
 
@@ -83,12 +85,14 @@ class CavityParams:
         _check_finite("delta", self.delta)
         for name in ("g", "kappa", "nbar"):
             _check_non_negative(name, getattr(self, name))
+        _check_atoms(self.n_atoms)
         rates = self.kappa * self.kappa + self.delta * self.delta  # * cannot overflow as ** can
-        if rates == 0:
-            raise DegenerateParams("eta undefined for kappa = delta = 0")
+        if rates == 0:  # kappa = delta = 0, or squares below the smallest float
+            raise DegenerateParams(f"eta undefined: kappa^2 + delta^2 is 0 as a float: {self}")
         if inf in (rates, self.g * self.g):  # the squares eta and validity_ratio take
             raise DegenerateParams(f"g^2 or kappa^2 + delta^2 overflows a float: {self}")
-        _check_atoms(self.n_atoms)
+        if inf in (abs(coupling_eta(self)), validity_ratio(self)):  # g^2 delta, or a quotient
+            raise DegenerateParams(f"eta or the validity ratio overflows a float: {self}")
 
 
 def coupling_eta(params: CavityParams) -> float:
@@ -172,15 +176,15 @@ def compensation_layer(n: int, form: HamiltonianForm, nbar: float, phi: float) -
 
 @lru_cache(maxsize=None)
 def _basis(n: int) -> tuple:
-    """Read-only (projectors, m, rows) of n checked atoms: flat (s, d^2) projectors onto the
-    joint (j, m) eigenspaces, and on each S_z's and `build_hamiltonian(n, form)`'s value."""
-    sz = collective_op("z", n)
-    key, v, vh = hermitian_spectrum(s_squared(n) + sz / 2)  # by j(j+1) + m/2, 1:1 for n <= 3
+    """Read-only (projectors, m, h0, rows) of n checked atoms: flat (s, d^2) projectors onto the
+    joint (j, m) eigenspaces, S_z's value on each, and each form's values at h0[rows[form]]."""
+    ops = (collective_op("z", n), *(build_hamiltonian(n, form) for form in HamiltonianForm))
+    key, v, vh = hermitian_spectrum(s_squared(n) + ops[0] / 2)  # by j(j+1) + m/2, 1:1 for n <= 3
     first = np.flatnonzero(np.diff(np.round(4 * key), prepend=-1))  # each (j, m)'s first column
-    ops = (sz, *(build_hamiltonian(n, form) for form in HamiltonianForm))
-    m, *h0 = (read_only(np.round(4 * np.diagonal(vh @ op @ v).real)[first] / 4) for op in ops)
+    m, *h0 = (np.round(4 * np.diagonal(vh @ op @ v).real)[first] / 4 for op in ops)
     projectors = np.add.reduceat(v.T[:, :, None] * vh[:, None, :], first).reshape(len(first), -1)
-    return read_only(projectors), m, MappingProxyType(dict(zip(HamiltonianForm, h0)))
+    rows = MappingProxyType({form: i for i, form in enumerate(HamiltonianForm)})
+    return read_only(projectors), read_only(m), read_only(np.array(h0)), rows
 
 
 #: Largest |h_s| and |m_s| over both forms and 1-3 atoms: S+ S- = j(j+1) - m(m-1) is 4 at
@@ -199,9 +203,9 @@ def _check_phase(phi: float, c: float = 0.0) -> None:
 
 def _pulses(n: int, forms, phis, c=None) -> np.ndarray:
     """exp(-i phi (H_0 + c S_z)) per form: per sector of `_basis(n)` the phase of the forms' rows,
-    stacked, plus c m if c (scalar or per form) is given; one (1, s) @ (s, d^2) product a pulse."""
-    projectors, m, rows = _basis(n)
-    w = np.array([rows[form] for form in forms])
+    gathered from h0, plus c m if c (scalar or per form) is given; a (1, s) @ (s, d^2) per pulse."""
+    projectors, m, h0, rows = _basis(n)
+    w = h0.take([rows[form] for form in forms], 0)
     z = -1j * np.asarray(phis)[..., None]
     phases = np.exp(z * (w if c is None else w + np.multiply.outer(c, m)))
     return (phases[:, None, :] @ projectors).reshape(len(w), 2 ** n, 2 ** n)

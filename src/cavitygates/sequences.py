@@ -14,10 +14,17 @@ A sequence step is one of
   * GlobalPhase(theta): multiplies by e^{i theta}.
 
 Steps are listed in temporal order, the first acting first.  compose()
-renders one stack of factors (one per pulse; one per rotation, sin(angle/2)
-times a cached -i sigma on its qubit plus cos(angle/2) on the diagonal; one
-per phase, on the diagonal) and multiplies neighbours pairwise, level by
-level; `step_unitary` runs the same path on one step.
+renders one stack of factors and multiplies neighbours pairwise, level by
+level; `step_unitary` runs the same path on one step.  One pass over the
+steps lists each kind's positions in the stack and fields, and each kind
+is then rendered as one block and scattered into the stack, which is left
+uninitialised as every slot is written:
+
+  * pulses: one `_pulses` call, its exponent rows gathered from the
+    (form x sector) table `_basis` caches per atom count;
+  * rotations: their rows of the cached -i sigma table, taken and scaled
+    in place by sin(angle/2), plus cos(angle/2) on the diagonal;
+  * phases: e^{i theta} on the diagonal of a zeroed block of their own.
 
 A sequence is immutable, so its factors are a pure function of the
 object.  The second compose of one GateSequence object keeps the stack
@@ -59,6 +66,9 @@ from .spin import _check_atoms, _pauli
 
 @dataclass(frozen=True)
 class CollectiveEvolution:
+    """One compensated pulse of the collective interaction: exp(-i phi H_0), phi = eta t in
+    radians (dimensionless), H_0 the linear-free Hamiltonian of `form`."""
+
     phi: float
     form: HamiltonianForm = HamiltonianForm.CASIMIR
 
@@ -69,6 +79,8 @@ class CollectiveEvolution:
 
 @dataclass(frozen=True)
 class LocalLayer:
+    """Single-qubit rotations R_axis(angle), angles in radians, taken as instantaneous."""
+
     #: (qubit, axis, angle) triples, 1-based qubits, application order.
     rotations: tuple[tuple[int, str, float], ...]
 
@@ -82,6 +94,8 @@ class LocalLayer:
 
 @dataclass(frozen=True)
 class GlobalPhase:
+    """The phase factor e^{i theta}, theta in radians."""
+
     theta: float
 
     def __post_init__(self):
@@ -93,6 +107,8 @@ SequenceStep = Union[CollectiveEvolution, LocalLayer, GlobalPhase]
 
 @dataclass(frozen=True)
 class GateSequence:
+    """Steps on an n_atoms register (1..3), the first listed acting first, and a label."""
+
     n_atoms: int
     steps: tuple[SequenceStep, ...] = field(default_factory=tuple)
     label: str = ""
@@ -120,33 +136,39 @@ def _generators(n: int) -> np.ndarray:
 
 
 def _step_unitaries(seq: GateSequence) -> np.ndarray:
-    """(k, d, d) factors in application order: per pulse (one `_pulses` call), per rotation
-    (sin(angle/2) times its `_generators` row, plus cos(angle/2) on the diagonal), per phase."""
+    """(k, d, d) factors in application order, each kind listed in one pass over the steps and
+    scattered into an uninitialised stack: pulses, rotations, phases (see the module docstring)."""
     n, d = seq.n_atoms, 2 ** seq.n_atoms
-    k, pulses, rotations, phases = 0, [], [], []  # (position in the stack, step or fields)
+    k, pulse_at, forms, phis, rotation_at, rows, half, phase_at, thetas = 0, *([] for _ in range(8))
     for step in seq.steps:
-        kind = type(step)
-        if kind is LocalLayer:
+        if type(step) is LocalLayer:
             for qubit, axis, angle in step.rotations:
-                rotations.append((k, 3 * qubit - 3 + _AXES.index(axis), angle / 2))
+                rotation_at.append(k)
+                rows.append(3 * qubit - 3 + _AXES.index(axis))
+                half.append(angle / 2)
                 k += 1
+            continue
+        if type(step) is CollectiveEvolution:
+            pulse_at.append(k)
+            forms.append(step.form)
+            phis.append(step.phi)
         else:
-            (pulses if kind is CollectiveEvolution else phases).append((k, step))
-            k += 1
-    us = np.zeros((k, d, d), dtype=complex)
-    flat = us.reshape(k, d * d)
-    if pulses:
-        at, steps = zip(*pulses)
-        us[list(at)] = _pulses(n, [p.form for p in steps], np.array([p.phi for p in steps]))
-    if rotations:
-        at, rows, half = zip(*rotations)
+            phase_at.append(k)
+            thetas.append(step.theta)
+        k += 1
+    us = np.empty((k, d, d), dtype=complex)
+    if pulse_at:
+        us[pulse_at] = _pulses(n, forms, np.array(phis))
+    if rotation_at:
         half = np.array(half)
-        factors = _generators(n).take(rows, 0) * np.sin(half)[:, None, None]
+        factors = _generators(n).take(rows, 0)
+        factors *= np.sin(half)[:, None, None]
         factors.reshape(-1, d * d)[:, ::d + 1] += np.cos(half)[:, None]
-        us[list(at)] = factors
-    if phases:
-        at, steps = zip(*phases)
-        flat[list(at), ::d + 1] = np.exp(1j * np.array([p.theta for p in steps]))[:, None]
+        us[rotation_at] = factors
+    if phase_at:
+        phases = np.zeros((len(phase_at), d * d), dtype=complex)
+        phases[:, ::d + 1] = np.exp(1j * np.array(thetas))[:, None]
+        us[phase_at] = phases.reshape(-1, d, d)
     return us
 
 

@@ -67,6 +67,28 @@ CASES = {
         lambda: validity_ratio(CavityParams(g=1, delta=1e200, kappa=0)),
         DegenerateParams,
     ),
+    # finite squares whose quotient, or whose product g^2 delta, overflows a float
+    "eta, g^2 delta overflows": (
+        lambda: CavityParams(g=1e150, delta=1e150, kappa=0),
+        DegenerateParams,
+        "eta or the validity ratio overflows",
+    ),
+    "validity ratio overflows, eta finite": (
+        lambda: CavityParams(g=1e154, delta=1e-323, kappa=1e-161),
+        DegenerateParams,
+        "eta or the validity ratio overflows",
+    ),
+    # kappa^2 + delta^2 underflows to 0 though delta is not 0: named, not kappa = delta = 0
+    "kappa^2 + delta^2 underflows, delta 1e-320": (
+        lambda: CavityParams(g=1e5, delta=1e-320, kappa=0),
+        DegenerateParams,
+        r"kappa\^2 \+ delta\^2 is 0 as a float",
+    ),
+    "kappa^2 + delta^2 underflows, g = delta = 1e-200": (
+        lambda: CavityParams(g=1e-200, delta=1e-200, kappa=0),
+        DegenerateParams,
+        r"kappa\^2 \+ delta\^2 is 0 as a float",
+    ),
     # a negative photon number, wherever nbar is taken
     "thermal_evolve nbar < 0": (lambda: thermal_evolve(2, 0.5, LADDER, -1.0), DegenerateParams),
     "compensation_layer nbar < 0": (
@@ -185,7 +207,7 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_bad_input_raises_a_typed_error(case):
-    call, expected = CASES[case]
+    call, expected, *message = CASES[case]  # and the message's pattern, where a row gives one
     assert issubclass(expected, CavityGatesError)
-    with pytest.raises(expected):
+    with pytest.raises(expected, match=message[0] if message else None):
         call()

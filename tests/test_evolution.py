@@ -1,4 +1,6 @@
+import copy
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -197,8 +199,8 @@ def test_evolve_rejects_non_finite_input(phi, nbar):
 def test_the_spectrum_bound_is_the_largest_sector_value():
     h, m = evolution._SPECTRUM_BOUND
     spectra = [_basis(n) for n in (1, 2, 3)]
-    assert max(abs(row).max() for _, _, rows in spectra for row in rows.values()) == h
-    assert max(abs(ms).max() for _, ms, _ in spectra) == m
+    assert max(abs(row).max() for _, _, h0, _ in spectra for row in h0) == h
+    assert max(abs(ms).max() for _, ms, _, _ in spectra) == m
 
 
 @pytest.mark.parametrize("phi, nbar", [(1e308, 0.0), (-1e308, 0.0), (1.0, 1e308), (0.0, 1e308),
@@ -278,8 +280,8 @@ def test_build_hamiltonian_rejects_non_finite_nbar(form, nbar):
 @pytest.mark.parametrize("form", list(HamiltonianForm))
 def test_cached_spectrum_is_read_only(n, form):
     # the sector projectors, the S_z values, the form's row of values, and the map of rows
-    projectors, m, rows = _basis(n)
-    for array in (projectors, m, rows[form]):
+    projectors, m, h0, rows = _basis(n)
+    for array in (projectors, m, h0[rows[form]]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -287,11 +289,26 @@ def test_cached_spectrum_is_read_only(n, form):
         rows[form] = m
 
 
+def test_a_form_found_by_value_unpickled_or_deep_copied_keys_its_row():
+    # forms hash by identity, in C, so every way of getting a member must give the one singleton
+    assert HamiltonianForm.__hash__ is object.__hash__
+    _, _, h0, rows = _basis(2)
+    by_form = {form: h0[rows[form]] for form in HamiltonianForm}
+    for form in HamiltonianForm:
+        for same in (HamiltonianForm(form.value), pickle.loads(pickle.dumps(form))):
+            assert same is form and by_form[same] is by_form[form]
+        assert np.array_equal(_pulses(2, [HamiltonianForm(form.value)], 0.7), [evolve(2, 0.7, form)])
+    for table in (pickle.loads(pickle.dumps(by_form)), copy.deepcopy(by_form)):
+        assert list(table) == list(HamiltonianForm)
+        for form in HamiltonianForm:
+            assert np.array_equal(table[form], by_form[form])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_basis_diagonalizes_s_squared_and_sz(n):
-    projectors, m, rows = _basis(n)
+    projectors, m, h0, rows = _basis(n)
     d = 2 ** n
-    s2 = rows[CASIMIR] + m * m
+    s2 = h0[rows[CASIMIR]] + m * m
     assert np.abs(np.tensordot(s2, projectors, 1).reshape(d, d) - s_squared(n)).max() < 1e-14
     # one sector per (j, m), n + 1 of the largest j, and the two j = 1/2 doublets of three
     # atoms share one per m; sorted by j(j+1) + m/2, the eigenvalue of S^2 + S_z / 2
@@ -300,21 +317,21 @@ def test_basis_diagonalizes_s_squared_and_sz(n):
     # the values are exact quarter-integers, and each form's row is exactly its k
     assert np.array_equal(4 * s2, np.round(4 * s2))
     assert np.array_equal(2 * m, np.round(2 * m))
-    assert np.array_equal(rows[LADDER], s2 - m * m + m)
+    assert np.array_equal(h0[rows[LADDER]], s2 - m * m + m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sector_projectors_resolve_the_identity_and_both_hamiltonians(n):
     # independent of how the table is built: a complete set of orthogonal projectors on
     # which each form's H_0 and S_z take the cached values
-    projectors, m, rows = _basis(n)
+    projectors, m, h0, rows = _basis(n)
     d = 2 ** n
     pis = projectors.reshape(-1, d, d)
     assert np.abs(pis.sum(0) - np.eye(d)).max() < 1e-15
     assert np.abs(pis @ pis - pis).max() < 1e-15
     assert np.abs(sum(m_s * p for m_s, p in zip(m, pis)) - collective_op("z", n)).max() < 1e-14
     for form in HamiltonianForm:
-        h = sum(h_s * p for h_s, p in zip(rows[form], pis))
+        h = sum(h_s * p for h_s, p in zip(h0[rows[form]], pis))
         assert np.abs(h - build_hamiltonian(n, form)).max() < 1e-14
 
 

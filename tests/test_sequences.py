@@ -179,6 +179,28 @@ def test_global_phase_is_written_onto_the_diagonal(n):
         assert _bytes(u) == _bytes(np.exp(1j * theta) * np.eye(2 ** n)), theta
 
 
+def _steps_of_each_kind(n):
+    """Steps of only pulses, only rotations, only phases (three in a row), and all three mixed."""
+    pulses = (CollectiveEvolution(0.7, LADDER), CollectiveEvolution(-2.3, CASIMIR))
+    rotations = (_layer(n, ("x", 0.4), ("y", -1.9)), LocalLayer(((1, "z", 2.6),)))
+    phases = (GlobalPhase(0.3), GlobalPhase(-2.9), GlobalPhase(1.7))
+    mixed = (rotations[0], pulses[0], phases[0], rotations[1], pulses[1], *phases[1:])
+    return [pulses, rotations, phases, mixed]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_slot_of_the_uninitialised_stack_is_written(n):
+    # the stack is np.empty: a slot no kind writes would keep stale memory, here a NaN block
+    # of the stack's size, filled and freed just before the compose that likely reuses it
+    d = 2 ** n
+    for steps in _steps_of_each_kind(n):
+        factors = [f for step in steps for f in _factors(step, n)]
+        np.full((len(factors), d, d), np.nan, dtype=complex)  # freed at once
+        u = compose(GateSequence(n, steps))
+        assert np.isfinite(u).all()
+        assert _bytes(u) == _bytes(_pairwise(factors, n))
+
+
 def test_rotation_table_is_read_only_and_built_on_first_use():
     src = str(Path(cavitygates.__file__).resolve().parents[1])
     paths = (src, os.environ.get("PYTHONPATH"))
